@@ -4,8 +4,10 @@
 //! encode + length-prefixed write on the client, read + decode on the
 //! daemon, and the reverse for the response. These rows pin that framing
 //! cost at the paper's observation width (6 dims) so a protocol change
-//! that bloats the per-request budget shows up in the trajectory next to
-//! the end-to-end `serve_latency/*` rows that `lahd serve-bench` records.
+//! that bloats the per-request budget shows up in the trajectory. The
+//! end-to-end round trip is measured by the repository benchmark
+//! (`perfbench/`), whose `protocol.encode_ns`/`protocol.decode_ns` layer
+//! rows time the same frames in place.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lahd_serve::{read_frame, write_frame, Request, Response};

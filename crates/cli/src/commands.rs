@@ -89,20 +89,18 @@ fn usage() -> String {
      \x20 serve      run the fault-tolerant decision-serving daemon over a\n\
      \x20            Unix socket until a shutdown request arrives\n\
      \x20            --artifacts DIR [--socket FILE] [--shards N]\n\
-     \x20            [--queue-capacity N] [--batch-max N] [--max-streams N]\n\
-     \x20            [--audit-every N] [--audit-budget N] [--hibernate-after N]\n\
-     \x20            [--sweep-every N] [--max-hibernated N]\n\
+     \x20            [--queue-capacity N] [--max-streams N] [--audit-every N]\n\
+     \x20            [--hibernate-after N] [--max-hibernated N]\n\
      \x20            [--state-dir DIR (durable checkpoints + journal)]\n\
      \x20            [--checkpoint-every N (ticks; 0 = drain-only)] [--recover]\n\
      \x20            [--allow-chaos] [--scale …] [--scenario …]\n\
      \x20            [--infer-precision exact|quantized]\n\
-     \x20 serve-bench deterministic load + chaos harness for the daemon\n\
+     \x20 serve-bench deterministic lockstep + chaos harness for the daemon\n\
+     \x20            (serving performance: perfbench/README.md)\n\
      \x20            --artifacts DIR [--socket FILE (external daemon)]\n\
-     \x20            [--streams N] [--rounds N] [--requests N] [--rate R]\n\
-     \x20            [--deadline-us N] [--bench-seed N] [--chaos]\n\
+     \x20            [--streams N] [--rounds N] [--bench-seed N] [--chaos]\n\
      \x20            [--streams-sweep N,N,… (memory-scaling sweep)]\n\
-     \x20            [--json FILE] [--bench-json FILE] [--shutdown-daemon]\n\
-     \x20            [--scale …]\n\
+     \x20            [--json FILE] [--shutdown-daemon] [--scale …]\n\
      \x20 serve-drill crash-restart drill: SIGKILL a durable daemon mid-load,\n\
      \x20            restart it with --recover, and compare actions against\n\
      \x20            an uninterrupted reference daemon\n\
@@ -459,13 +457,10 @@ fn serve_config(args: &Args) -> ServeConfig {
     ServeConfig {
         shards: args.get_usize("shards", d.shards),
         queue_capacity: args.get_usize("queue-capacity", d.queue_capacity),
-        batch_max: args.get_usize("batch-max", d.batch_max),
         max_streams: args.get_usize("max-streams", d.max_streams),
         allow_chaos: args.has_flag("allow-chaos"),
         audit_every: args.get_u64("audit-every", d.audit_every),
-        audit_budget: args.get_usize("audit-budget", d.audit_budget),
         hibernate_after: args.get_u64("hibernate-after", d.hibernate_after),
-        sweep_every: args.get_u64("sweep-every", d.sweep_every),
         max_hibernated: args.get_usize("max-hibernated", d.max_hibernated),
         state_dir: args.get("state-dir").map(PathBuf::from),
         checkpoint_every: args.get_u64("checkpoint-every", d.checkpoint_every),
@@ -482,7 +477,7 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let handle = serve_dir(&cfg, &dir, serve_cfg.clone(), &socket).map_err(err)?;
     writeln!(
         out,
-        "serving {} ({} precision) from {} on {} — {} shards, queue {}, batch {}; \
+        "serving {} ({} precision) from {} on {} — {} shards, queue {}; \
          send a shutdown request to stop",
         cfg.scenario,
         cfg.infer_precision.name(),
@@ -490,7 +485,6 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         socket.display(),
         serve_cfg.shards,
         serve_cfg.queue_capacity,
-        serve_cfg.batch_max,
     )?;
     out.flush()?;
     handle.wait();
@@ -501,10 +495,10 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let cfg = scale_config(args)?;
     let dir = PathBuf::from(args.get("artifacts").unwrap_or("lahd-artifacts"));
+    let seed = args.get_u64("bench-seed", BenchConfig::default().seed);
 
-    // --streams-sweep N,N,… replaces the load/chaos phases with the
-    // memory-scaling sweep: one self-hosted daemon per size, measured
-    // bytes/stream + closed-loop decisions/sec.
+    // --streams-sweep N,N,… replaces the chaos run with the memory-scaling
+    // sweep: one self-hosted daemon per size, measured bytes/stream.
     if let Some(spec) = args.get("streams-sweep") {
         if args.get("socket").is_some() {
             return Err(err(
@@ -530,17 +524,15 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         if sizes.is_empty() {
             return Err(err("--streams-sweep needs at least one stream count"));
         }
-        let seed = args.get_u64("bench-seed", BenchConfig::default().seed);
         let sweep =
             run_streams_sweep(&cfg, &dir, &serve_config(args), &sizes, seed).map_err(err)?;
         for p in &sweep.points {
             writeln!(
                 out,
-                "streams {}: admitted {}, {:.0} decisions/s, {} live B/stream \
-                 ({} rss B/stream), shed {}; tiers compact={} resident={} hibernated={}",
+                "streams {}: admitted {}, {} live B/stream ({} rss B/stream), shed {}; \
+                 tiers compact={} resident={} hibernated={}",
                 p.streams,
                 p.admitted,
-                p.decisions_per_sec,
                 p.live_bytes_per_stream,
                 p.rss_bytes_per_stream,
                 p.shed,
@@ -553,12 +545,6 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             fs::write(path, sweep.to_json())?;
             writeln!(out, "json summary written to {path}")?;
         }
-        if let Some(path) = args.get("bench-json") {
-            let mut rows = sweep.bench_rows().join("\n");
-            rows.push('\n');
-            fs::write(path, rows)?;
-            writeln!(out, "bench rows written to {path}")?;
-        }
         return Ok(());
     }
 
@@ -566,17 +552,14 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let mut bench = BenchConfig {
         streams: args.get_u64("streams", defaults.streams),
         rounds: args.get_u64("rounds", defaults.rounds),
-        requests: args.get_u64("requests", defaults.requests),
-        rate: args.get_f64("rate", defaults.rate),
-        deadline_us: args.get_u64("deadline-us", defaults.deadline_us),
-        seed: args.get_u64("bench-seed", defaults.seed),
+        seed,
         chaos: None,
     };
     let with_chaos = args.has_flag("chaos");
     let corrupt = if with_chaos {
         if bench.rounds == 0 {
             return Err(err(
-                "--chaos needs --rounds > 0 (the plan runs in the lockstep phase)",
+                "--chaos needs --rounds > 0 (the plan runs in lockstep rounds)",
             ));
         }
         let corrupt =
@@ -605,67 +588,43 @@ fn cmd_serve_bench(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         }
     };
 
-    let result = run_bench(&socket, &dir, &bench);
+    // The daemon's per-tier counts after the run show which ladder rung
+    // served; healthy streams should ride the compiled FSM tier.
+    let result = run_bench(&socket, &dir, &bench).and_then(|chaos| {
+        let mut client = ServeClient::connect_retry(&socket, std::time::Duration::from_secs(5))
+            .map_err(|e| e.to_string())?;
+        let tiers = client.stats().map_err(|e| e.to_string())?.tier_decisions;
+        if handle.is_none() && args.has_flag("shutdown-daemon") {
+            // Ask the external daemon to exit once the run is over (CI
+            // smoke gates wait on its process and assert a clean exit).
+            client.call(&Request::Shutdown).map_err(|e| e.to_string())?;
+        }
+        Ok((chaos, tiers))
+    });
     if let Some(handle) = handle {
-        let mut client = ServeClient::connect_retry(&socket, std::time::Duration::from_secs(5))?;
-        client.call(&Request::Shutdown)?;
+        handle.shutdown();
         handle.wait();
-    } else if args.has_flag("shutdown-daemon") {
-        // Ask the external daemon to exit once the run is over (CI smoke
-        // gates wait on its process and assert a clean exit).
-        let mut client = ServeClient::connect_retry(&socket, std::time::Duration::from_secs(5))?;
-        client.call(&Request::Shutdown)?;
     }
     if let Some(corrupt) = corrupt {
         let _ = fs::remove_dir_all(&corrupt);
     }
-    let summary = result.map_err(err)?;
+    let (chaos, tiers) = result.map_err(err)?;
 
-    if let Some(chaos) = &summary.chaos {
-        writeln!(out, "chaos: {}", chaos.to_json())?;
-        if with_chaos {
-            writeln!(
-                out,
-                "chaos plan {}",
-                if chaos.all_good() {
-                    "SURVIVED"
-                } else {
-                    "FAILED"
-                }
-            )?;
-        }
-    }
-    if let Some(perf) = &summary.perf {
-        writeln!(
-            out,
-            "perf: {:.0} decisions/s over {} requests; latency p50 {}ns, p99 {}ns, \
-             p999 {}ns; shed {}, deadline misses {}; tiers fsm={} quant={} exact={} \
-             baseline={}",
-            perf.decisions_per_sec,
-            perf.requests,
-            perf.p50_ns,
-            perf.p99_ns,
-            perf.p999_ns,
-            perf.shed,
-            perf.deadline_misses,
-            perf.tier_decisions[0],
-            perf.tier_decisions[1],
-            perf.tier_decisions[2],
-            perf.tier_decisions[3]
-        )?;
-    }
+    writeln!(out, "chaos: {}", chaos.to_json())?;
+    writeln!(
+        out,
+        "tiers fsm={} quant={} exact={} baseline={}",
+        tiers[0], tiers[1], tiers[2], tiers[3]
+    )?;
     if let Some(path) = args.get("json") {
-        fs::write(path, summary.to_json())?;
+        fs::write(path, chaos.to_json())?;
         writeln!(out, "json summary written to {path}")?;
     }
-    if let Some(path) = args.get("bench-json") {
-        let mut rows = summary.bench_rows().join("\n");
-        rows.push('\n');
-        fs::write(path, rows)?;
-        writeln!(out, "bench rows written to {path}")?;
-    }
-    if with_chaos && summary.chaos.as_ref().is_some_and(|c| !c.all_good()) {
-        return Err(err("chaos plan FAILED — see the summary above"));
+    if with_chaos {
+        if !chaos.all_good() {
+            return Err(err("chaos plan FAILED — see the summary above"));
+        }
+        writeln!(out, "chaos plan SURVIVED")?;
     }
     Ok(())
 }
@@ -1324,7 +1283,6 @@ mod tests {
         run_cli(&["pipeline", "--scale", "tiny", "--out", out_flag]).unwrap();
 
         let json_path = dir.join("summary.json");
-        let rows_path = dir.join("rows.json");
         let text = run_cli(&[
             "serve-bench",
             "--scale",
@@ -1335,8 +1293,6 @@ mod tests {
             "4",
             "--rounds",
             "12",
-            "--requests",
-            "200",
             "--chaos",
             "--shards",
             "2",
@@ -1344,27 +1300,22 @@ mod tests {
             "16",
             "--json",
             json_path.to_str().unwrap(),
-            "--bench-json",
-            rows_path.to_str().unwrap(),
         ])
         .unwrap();
         assert!(text.contains("chaos plan SURVIVED"), "{text}");
-        assert!(text.contains("perf:"), "{text}");
-        assert!(
-            text.contains("tiers fsm="),
-            "perf summary must report per-tier decision counts: {text}"
-        );
+        let fsm: u64 = text
+            .split("tiers fsm=")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no per-tier decision counts: {text}"));
+        assert!(fsm > 0, "the compiled FSM tier served nothing: {text}");
 
         let json = fs::read_to_string(&json_path).unwrap();
         assert!(json.contains("\"shard_recovered\":true"), "{json}");
         assert!(json.contains("\"reload_rejected\":true"), "{json}");
-        assert!(json.contains("\"tier_decisions\":{\"fsm\":"), "{json}");
-        let rows = fs::read_to_string(&rows_path).unwrap();
-        assert!(
-            rows.contains("serve_throughput/decisions_per_sec"),
-            "{rows}"
-        );
-        assert!(rows.contains("serve_latency/p99_ns"), "{rows}");
+        assert!(json.contains("\"shed_observed\":true"), "{json}");
+        assert!(json.contains("\"deadline_fallback\":true"), "{json}");
         let _ = fs::remove_dir_all(&dir);
     }
 

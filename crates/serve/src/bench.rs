@@ -1,27 +1,27 @@
-//! The deterministic load + chaos harness behind `lahd serve-bench`.
+//! The correctness harnesses behind `lahd serve-bench` and
+//! `lahd serve-drill`. Serving performance is measured by the
+//! repository benchmark (`perfbench/`), not here.
 //!
-//! Two phases against a running daemon:
+//! - **Chaos plan** ([`run_bench`]): `rounds` lockstep rounds of one
+//!   decision per stream, with an optional [`ChaosPlan`] firing mid-run —
+//!   kill a shard worker, hold a shard while bursting `burst_factor ×`
+//!   load at it (exercising admission control and a deadline miss
+//!   deterministically), and offer a corrupt artifact bundle for hot
+//!   reload. The summary contains only run-invariant facts
+//!   (request/response totals, recovery booleans, a checksum of every
+//!   pre-chaos action), so a same-seed re-run against a fresh daemon
+//!   produces a byte-identical chaos JSON.
+//! - **Streams sweep** ([`run_streams_sweep`]): self-hosts one daemon per
+//!   size, admits every stream with one windowed lockstep round, and
+//!   reads the admitted count and the live/RSS bytes per stream.
+//! - **Restart drill** ([`run_restart_drill`]): SIGKILLs a durable daemon
+//!   child and checks that the restarted one serves the same actions.
 //!
-//! 1. **Chaos phase** (lockstep): `rounds` rounds of one decision per
-//!    stream, collected round-by-round, with an optional [`ChaosPlan`]
-//!    firing mid-run — kill a shard worker, hold a shard while bursting
-//!    `burst_factor ×` load at it (exercising admission control and a
-//!    deadline miss deterministically), and offer a corrupt artifact
-//!    bundle for hot reload. The phase's summary contains only
-//!    run-invariant facts (request/response totals, recovery booleans, a
-//!    checksum of every pre-chaos action), so a same-seed re-run against a
-//!    fresh daemon produces a byte-identical chaos JSON — the property the
-//!    acceptance test pins.
-//! 2. **Perf phase** (open loop): `requests` decisions sent on schedule at
-//!    `rate` requests/second (0 = as fast as possible) regardless of
-//!    response progress, latencies recorded client-side into a log-bucket
-//!    histogram. Reported decisions/sec and p50/p99/p999 feed the bench
-//!    snapshot rows (`serve_throughput/…`, `serve_latency/…`).
-//!
-//! Observations are synthesised per `(stream, round)` from the artifact
-//! directory's `baseline.profile` (uniform inside each dimension's
-//! interquartile band), so the traffic looks healthy to the guards and is
-//! a pure function of the bench seed.
+//! All three drive load through [`lockstep_round`]. Observations are
+//! synthesised per `(stream, round)` from the artifact directory's
+//! `baseline.profile` (uniform inside each dimension's interquartile
+//! band), so the traffic looks healthy to the guards and is a pure
+//! function of the seed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::ServeClient;
-use crate::metrics::{LatencyHistogram, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::persist;
 use crate::protocol::{Request, Response, Source};
 
@@ -95,17 +95,11 @@ impl ChaosPlan {
 pub struct BenchConfig {
     /// Number of concurrent streams.
     pub streams: u64,
-    /// Lockstep rounds in the chaos phase (0 skips the phase).
+    /// Lockstep rounds.
     pub rounds: u64,
-    /// Open-loop requests in the perf phase (0 skips the phase).
-    pub requests: u64,
-    /// Open-loop target rate, requests/second (0 = maximum).
-    pub rate: f64,
-    /// Per-request deadline in the perf phase, microseconds (0 = none).
-    pub deadline_us: u64,
     /// Seed for observation synthesis.
     pub seed: u64,
-    /// Optional chaos plan for the lockstep phase.
+    /// Optional chaos plan fired during the rounds.
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -114,16 +108,13 @@ impl Default for BenchConfig {
         Self {
             streams: 8,
             rounds: 40,
-            requests: 2000,
-            rate: 0.0,
-            deadline_us: 0,
             seed: 7,
             chaos: None,
         }
     }
 }
 
-/// Run-invariant chaos-phase outcome; [`ChaosOutcome::to_json`] is the
+/// Run-invariant chaos-plan outcome; [`ChaosOutcome::to_json`] is the
 /// byte-reproducible summary the acceptance test compares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosOutcome {
@@ -135,14 +126,14 @@ pub struct ChaosOutcome {
     pub rounds: u64,
     /// Human-readable plan description ("none" without a plan).
     pub plan: String,
-    /// Requests sent in the phase.
+    /// Requests sent.
     pub requests: u64,
     /// Responses received (must equal `requests`: shedding degrades, it
     /// never drops).
     pub responses: u64,
     /// FNV-1a over every pre-chaos `(round, stream, action)` triple.
     pub prechaos_checksum: u64,
-    /// The daemon still answered a stats request after the phase.
+    /// The daemon still answered a stats request after the last round.
     pub daemon_alive: bool,
     /// The killed shard's worker restarted and served guarded decisions
     /// again afterwards (vacuously true without a plan).
@@ -150,7 +141,7 @@ pub struct ChaosOutcome {
     /// The corrupt reload candidate was rejected (vacuously true without a
     /// plan).
     pub reload_rejected: bool,
-    /// The bundle generation did not change across the phase.
+    /// The bundle generation did not change across the run.
     pub generation_unchanged: bool,
     /// At least one burst request was shed to the fallback tier.
     pub shed_observed: bool,
@@ -192,111 +183,13 @@ impl ChaosOutcome {
             && self.shard_recovered
             && self.reload_rejected
             && self.generation_unchanged
+            && self.shed_observed
+            && self.deadline_fallback
     }
 }
 
-/// Perf-phase outcome (wall-clock, not pinned).
-#[derive(Clone, Debug)]
-pub struct PerfOutcome {
-    /// Requests driven.
-    pub requests: u64,
-    /// End-to-end decisions per second.
-    pub decisions_per_sec: f64,
-    /// Latency bucket upper bounds, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th percentile bucket, nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th percentile bucket, nanoseconds.
-    pub p999_ns: u64,
-    /// Requests shed during the phase.
-    pub shed: u64,
-    /// Requests answered from the deadline fallback during the phase.
-    pub deadline_misses: u64,
-    /// Decisions answered by each ladder tier, indexed `[fsm, quant,
-    /// exact, baseline]` — tallied client-side from the `tier` byte on
-    /// every [`Response::Decision`], so it reflects what the daemon
-    /// actually served (the compiled FSM tier should dominate under
-    /// healthy traffic).
-    pub tier_decisions: [u64; 4],
-}
-
-impl PerfOutcome {
-    /// Stable-order JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"decisions_per_sec\":{:.1},\"p50_ns\":{},",
-                "\"p99_ns\":{},\"p999_ns\":{},\"shed\":{},\"deadline_misses\":{},",
-                "\"tier_decisions\":{{\"fsm\":{},\"quant\":{},\"exact\":{},\"baseline\":{}}}}}"
-            ),
-            self.requests,
-            self.decisions_per_sec,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.shed,
-            self.deadline_misses,
-            self.tier_decisions[0],
-            self.tier_decisions[1],
-            self.tier_decisions[2],
-            self.tier_decisions[3]
-        )
-    }
-}
-
-/// Everything one `serve-bench` run produced.
-pub struct BenchSummary {
-    /// Lockstep chaos-phase outcome (None when `rounds == 0`).
-    pub chaos: Option<ChaosOutcome>,
-    /// Open-loop perf-phase outcome (None when `requests == 0`).
-    pub perf: Option<PerfOutcome>,
-}
-
-impl BenchSummary {
-    /// Combined JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"chaos\":{},\"perf\":{}}}",
-            self.chaos
-                .as_ref()
-                .map_or("null".to_string(), ChaosOutcome::to_json),
-            self.perf
-                .as_ref()
-                .map_or("null".to_string(), PerfOutcome::to_json)
-        )
-    }
-
-    /// Criterion-shim-style rows for `bench_snapshot.sh` folding. The
-    /// throughput row stores decisions/sec (higher is better — the compare
-    /// gate keys off the `per_sec` suffix); latency rows store
-    /// nanoseconds.
-    pub fn bench_rows(&self) -> Vec<String> {
-        let Some(perf) = &self.perf else {
-            return Vec::new();
-        };
-        vec![
-            format!(
-                "{{\"bench\":\"serve_throughput/decisions_per_sec\",\"median_ns\":{:.1}}}",
-                perf.decisions_per_sec
-            ),
-            format!(
-                "{{\"bench\":\"serve_latency/p50_ns\",\"median_ns\":{}}}",
-                perf.p50_ns
-            ),
-            format!(
-                "{{\"bench\":\"serve_latency/p99_ns\",\"median_ns\":{}}}",
-                perf.p99_ns
-            ),
-            format!(
-                "{{\"bench\":\"serve_latency/p999_ns\",\"median_ns\":{}}}",
-                perf.p999_ns
-            ),
-        ]
-    }
-}
-
-/// One measured point of the streams sweep: a self-hosted daemon sized for
-/// `streams`, warmed with one decision per stream, then measured.
+/// One point of the streams sweep: a self-hosted daemon sized for
+/// `streams`, after one decision per stream.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Requested concurrent stream count.
@@ -304,8 +197,6 @@ pub struct SweepPoint {
     /// Streams actually admitted (compact + resident + hibernated, from
     /// the daemon's sync-barriered gauges).
     pub admitted: u64,
-    /// Closed-loop decisions/second over the timed round.
-    pub decisions_per_sec: f64,
     /// Measured live heap bytes per admitted stream (counting allocator;
     /// 0 when the allocator is not installed — see [`crate::live_bytes`]).
     pub live_bytes_per_stream: u64,
@@ -313,7 +204,7 @@ pub struct SweepPoint {
     pub rss_delta_bytes: u64,
     /// RSS growth per admitted stream (informational).
     pub rss_bytes_per_stream: u64,
-    /// Requests shed during the sweep (labelled answers, not errors).
+    /// Requests shed during the warm (labelled answers, not errors).
     pub shed: u64,
     /// Gauge after warm: compact streams.
     pub compact: u64,
@@ -330,17 +221,6 @@ pub struct StreamsSweep {
     pub points: Vec<SweepPoint>,
 }
 
-/// Human row label for a stream count (1000 → "1k", 100000 → "100k").
-fn size_label(n: u64) -> String {
-    if n >= 1_000_000 && n % 1_000_000 == 0 {
-        format!("{}m", n / 1_000_000)
-    } else if n >= 1_000 && n % 1_000 == 0 {
-        format!("{}k", n / 1_000)
-    } else {
-        n.to_string()
-    }
-}
-
 impl StreamsSweep {
     /// Stable-order JSON rendering.
     pub fn to_json(&self) -> String {
@@ -350,14 +230,13 @@ impl StreamsSweep {
             .map(|p| {
                 format!(
                     concat!(
-                        "{{\"streams\":{},\"admitted\":{},\"decisions_per_sec\":{:.1},",
+                        "{{\"streams\":{},\"admitted\":{},",
                         "\"live_bytes_per_stream\":{},\"rss_delta_bytes\":{},",
                         "\"rss_bytes_per_stream\":{},\"shed\":{},",
                         "\"compact\":{},\"resident\":{},\"hibernated\":{}}}"
                     ),
                     p.streams,
                     p.admitted,
-                    p.decisions_per_sec,
                     p.live_bytes_per_stream,
                     p.rss_delta_bytes,
                     p.rss_bytes_per_stream,
@@ -370,84 +249,86 @@ impl StreamsSweep {
             .collect();
         format!("{{\"points\":[{}]}}", points.join(","))
     }
-
-    /// Criterion-shim-style rows for `bench_snapshot.sh`. Rate rows carry
-    /// the `per_sec` suffix (compare gate: higher is better); bytes rows
-    /// are plain values (lower is better). Unavailable measurements
-    /// (reading 0) are omitted rather than folded as zeros.
-    pub fn bench_rows(&self) -> Vec<String> {
-        let mut rows = Vec::new();
-        for p in &self.points {
-            let label = size_label(p.streams);
-            rows.push(format!(
-                "{{\"bench\":\"serve_streams/{label}_per_sec\",\"median_ns\":{:.1}}}",
-                p.decisions_per_sec
-            ));
-            if p.live_bytes_per_stream > 0 {
-                rows.push(format!(
-                    "{{\"bench\":\"serve_streams/{label}_live_bytes_per_stream\",\"median_ns\":{}}}",
-                    p.live_bytes_per_stream
-                ));
-            }
-            if p.rss_bytes_per_stream > 0 {
-                rows.push(format!(
-                    "{{\"bench\":\"serve_streams/{label}_rss_bytes_per_stream\",\"median_ns\":{}}}",
-                    p.rss_bytes_per_stream
-                ));
-            }
-        }
-        rows
-    }
 }
 
-/// Drives one closed-loop round: one decision per stream, at most `window`
-/// outstanding (backpressure instead of queue sheds). Returns the round's
-/// wall time and how many answers came back shed-labelled.
-fn closed_loop_round(
+/// One decision reply: `(action, tier, source)`.
+type Reply = (u16, u8, u8);
+
+/// Request id of stream `stream`'s decision in `round`, repetition `rep`
+/// (only the chaos burst sends more than one per stream and round).
+fn req_id(round: u64, rep: u64, stream: u64) -> u64 {
+    (round << 40) | (rep << 24) | stream
+}
+
+/// Drives one lockstep round: one [`synth_obs`] decision per stream, with
+/// at most `window` outstanding (backpressure instead of queue sheds).
+/// Returns each stream's reply in stream order.
+fn lockstep_round(
     client: &mut ServeClient,
     profile: &BaselineProfile,
     seed: u64,
     streams: u64,
     round: u64,
     window: u64,
-) -> Result<(Duration, u64), String> {
-    let base = 1u64 << 61;
-    let start = Instant::now();
-    let mut sent = 0u64;
-    let mut received = 0u64;
-    let mut shed = 0u64;
+) -> Result<Vec<Reply>, String> {
+    let mut replies: Vec<Option<Reply>> = vec![None; streams as usize];
+    let (mut sent, mut received) = (0u64, 0u64);
     while received < streams {
-        while sent < streams && sent - received < window {
+        while sent < streams && sent - received < window.max(1) {
             client
                 .send(&Request::Decide {
-                    req_id: base | (round << 40) | sent,
+                    req_id: req_id(round, 0, sent),
                     stream: sent,
                     deadline_us: 0,
                     obs: synth_obs(profile, seed, sent, round),
                 })
-                .map_err(|e| format!("sweep send failed: {e}"))?;
+                .map_err(|e| format!("round {round} send failed: {e}"))?;
             sent += 1;
         }
         match client.recv() {
-            Ok(Response::Decision { source, .. }) => {
+            Ok(Response::Decision {
+                req_id: id,
+                action,
+                tier,
+                source,
+            }) => {
+                let slot = id
+                    .checked_sub(req_id(round, 0, 0))
+                    .and_then(|stream| replies.get_mut(stream as usize))
+                    .filter(|slot| slot.is_none())
+                    .ok_or(format!("round {round}: stray reply id {id:#x}"))?;
+                *slot = Some((action, tier, source));
                 received += 1;
-                if source == Source::Shed as u8 {
-                    shed += 1;
-                }
             }
-            Ok(other) => return Err(format!("unexpected sweep response {other:?}")),
-            Err(e) => return Err(format!("sweep receive failed: {e}")),
+            Ok(other) => return Err(format!("round {round}: unexpected response {other:?}")),
+            Err(e) => return Err(format!("round {round} receive failed: {e}")),
         }
     }
-    Ok((start.elapsed(), shed))
+    Ok(replies.into_iter().flatten().collect())
 }
+
+/// Folds one round's actions into an FNV-1a checksum: `(round, stream,
+/// action)` for every stream, in stream order.
+fn fold_round(mut h: u64, round: u64, replies: &[Reply]) -> u64 {
+    for (stream, &(action, _, _)) in replies.iter().enumerate() {
+        for v in [round, stream as u64, action as u64] {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// FNV-1a offset basis: the checksum of no rounds.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Runs the streams sweep: for each size, self-host a daemon sized for it
 /// (hibernation off, so the measurement reflects the live compact tier),
-/// admit every stream with a closed-loop warm round, read the memory
-/// deltas, time a second closed-loop round for decisions/sec, and shut
-/// down. Memory numbers are process-wide deltas, so the sweep must run
-/// with no other daemon in-process.
+/// admit every stream with one windowed lockstep round, read the memory
+/// deltas, and shut down. Memory numbers are process-wide deltas, so the
+/// sweep must run with no other daemon in-process.
 pub fn run_streams_sweep(
     pipeline_cfg: &lahd_core::PipelineConfig,
     artifacts: &Path,
@@ -466,44 +347,35 @@ pub fn run_streams_sweep(
         cfg.max_streams = n as usize;
         cfg.hibernate_after = 0;
         cfg.allow_chaos = false;
+        let window = (cfg.queue_capacity as u64).clamp(16, 256);
         let socket =
             std::env::temp_dir().join(format!("lahd-sweep-{}-{n}.sock", std::process::id()));
-        let handle = crate::daemon::serve_dir(pipeline_cfg, artifacts, cfg.clone(), &socket)?;
+        let handle = crate::daemon::serve_dir(pipeline_cfg, artifacts, cfg, &socket)?;
         let result = (|| -> Result<SweepPoint, String> {
-            let mut control = ServeClient::connect_retry(&socket, Duration::from_secs(5))
-                .map_err(|e| format!("sweep connect failed: {e}"))?;
-            let mut load = ServeClient::connect_retry(&socket, Duration::from_secs(5))
-                .map_err(|e| format!("sweep connect failed: {e}"))?;
-            let _ = stats(&mut control)?; // settle: daemon + sidecar up
+            let mut client = connect(&socket)?;
+            stats(&mut client)?; // settle: daemon + sidecar up
             let live0 = crate::live_bytes();
             let rss0 = crate::rss_bytes();
-            let window = (cfg.queue_capacity as u64).clamp(16, 256);
-            let (_, shed_warm) = closed_loop_round(&mut load, &profile, seed, n, 0, window)?;
-            let (snap, _) = stats(&mut control)?; // sync barrier: exact gauges
-            let live1 = crate::live_bytes();
-            let rss1 = crate::rss_bytes();
-            let (elapsed, shed_timed) = closed_loop_round(&mut load, &profile, seed, n, 1, window)?;
+            let replies = lockstep_round(&mut client, &profile, seed, n, 0, window)?;
+            let snap = stats(&mut client)?; // sync barrier: exact gauges
+            let live_delta = crate::live_bytes().saturating_sub(live0);
+            let rss_delta = crate::rss_bytes().saturating_sub(rss0);
             let admitted = snap.streams_total().max(1);
-            let live_delta = live1.saturating_sub(live0);
-            let rss_delta = rss1.saturating_sub(rss0);
             Ok(SweepPoint {
                 streams: n,
                 admitted: snap.streams_total(),
-                decisions_per_sec: n as f64 / elapsed.as_secs_f64().max(1e-9),
                 live_bytes_per_stream: live_delta / admitted,
                 rss_delta_bytes: rss_delta,
                 rss_bytes_per_stream: rss_delta / admitted,
-                shed: shed_warm + shed_timed,
+                shed: replies.iter().filter(|r| r.2 == Source::Shed as u8).count() as u64,
                 compact: snap.streams_compact,
                 resident: snap.streams_resident,
                 hibernated: snap.streams_hibernated,
             })
         })();
-        // Always shut the daemon down, even on a failed measurement, so
-        // the next size starts from a clean process-wide memory baseline.
-        if let Ok(mut c) = ServeClient::connect_retry(&socket, Duration::from_secs(1)) {
-            let _ = c.call(&Request::Shutdown);
-        }
+        // Always stop the daemon, even on a failed measurement, so the
+        // next size starts from a clean process-wide memory baseline.
+        handle.shutdown();
         handle.wait();
         points.push(result?);
     }
@@ -549,38 +421,27 @@ fn synth_obs(profile: &BaselineProfile, seed: u64, stream: u64, round: u64) -> V
         .collect()
 }
 
-fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// Connects to the daemon at `socket`, retrying while it binds.
+fn connect(socket: &Path) -> Result<ServeClient, String> {
+    ServeClient::connect_retry(socket, Duration::from_secs(10))
+        .map_err(|e| format!("connect to {} failed: {e}", socket.display()))
 }
 
-fn stats(client: &mut ServeClient) -> Result<(MetricsSnapshot, usize), String> {
-    match client.call(&Request::Stats) {
-        Ok(Response::StatsJson(json)) => {
-            let shards = {
-                let needle = "\"shards\":";
-                json.find(needle)
-                    .map(|at| {
-                        json[at + needle.len()..]
-                            .chars()
-                            .take_while(|c| c.is_ascii_digit())
-                            .collect::<String>()
-                            .parse()
-                            .unwrap_or(1)
-                    })
-                    .unwrap_or(1)
-            };
-            Ok((MetricsSnapshot::from_json(&json), shards))
-        }
-        Ok(other) => Err(format!("unexpected stats response {other:?}")),
-        Err(e) => Err(format!("stats request failed: {e}")),
+fn stats(client: &mut ServeClient) -> Result<MetricsSnapshot, String> {
+    client
+        .stats()
+        .map_err(|e| format!("stats request failed: {e}"))
+}
+
+/// Sends one control request that must be acknowledged with `Ok`.
+fn expect_ok(client: &mut ServeClient, req: &Request) -> Result<(), String> {
+    match client.call(req).map_err(|e| e.to_string())? {
+        Response::Ok => Ok(()),
+        other => Err(format!("{req:?} refused: {other:?}")),
     }
 }
 
-/// Loads the baseline profile the bench synthesises observations from.
+/// Loads the baseline profile the harnesses synthesise observations from.
 pub fn load_profile(artifacts: &Path) -> Result<BaselineProfile, String> {
     let file = std::fs::File::open(artifacts.join("baseline.profile"))
         .map_err(|e| format!("baseline.profile unreadable: {e}"))?;
@@ -588,195 +449,89 @@ pub fn load_profile(artifacts: &Path) -> Result<BaselineProfile, String> {
     lahd_guard::read_profile(&mut reader).map_err(|e| format!("baseline.profile corrupt: {e}"))
 }
 
-/// Drives the daemon at `socket` per `cfg`, synthesising observations from
+/// Drives the daemon at `socket` through `cfg`'s lockstep rounds and
+/// chaos plan, synthesising observations from
 /// `artifacts/baseline.profile`.
 pub fn run_bench(
     socket: &Path,
     artifacts: &Path,
     cfg: &BenchConfig,
-) -> Result<BenchSummary, String> {
-    let profile = load_profile(artifacts)?;
-    let mut client = ServeClient::connect_retry(socket, Duration::from_secs(5))
-        .map_err(|e| format!("connect failed: {e}"))?;
-    let chaos = if cfg.rounds > 0 {
-        Some(chaos_phase(&mut client, &profile, cfg)?)
-    } else {
-        None
-    };
-    let perf = if cfg.requests > 0 {
-        Some(perf_phase(socket, &profile, cfg)?)
-    } else {
-        None
-    };
-    Ok(BenchSummary { chaos, perf })
-}
-
-fn expect_decisions(
-    client: &mut ServeClient,
-    expected: usize,
-) -> Result<HashMap<u64, (u16, u8, u8)>, String> {
-    let mut got = HashMap::with_capacity(expected);
-    while got.len() < expected {
-        match client.recv() {
-            Ok(Response::Decision {
-                req_id,
-                action,
-                tier,
-                source,
-            }) => {
-                got.insert(req_id, (action, tier, source));
-            }
-            Ok(other) => return Err(format!("unexpected mid-round response {other:?}")),
-            Err(e) => return Err(format!("decision receive failed: {e}")),
-        }
-    }
-    Ok(got)
-}
-
-fn chaos_phase(
-    client: &mut ServeClient,
-    profile: &BaselineProfile,
-    cfg: &BenchConfig,
 ) -> Result<ChaosOutcome, String> {
-    let (before, shards) = stats(client)?;
+    let profile = load_profile(artifacts)?;
+    let mut client = connect(socket)?;
+    let before = stats(&mut client)?;
+    let shards = before.shards as usize;
     let first_chaos = cfg
         .chaos
         .as_ref()
         .map_or(cfg.rounds, ChaosPlan::first_round);
-    let req_id = |round: u64, rep: u64, stream: u64| (round << 40) | (rep << 24) | stream;
 
     let mut requests = 0u64;
     let mut responses = 0u64;
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_BASIS;
     let mut reload_rejected = cfg.chaos.is_none();
     let mut shed_observed = false;
     let mut deadline_fallback = cfg.chaos.is_none();
     let mut post_kill_guarded = cfg.chaos.is_none();
+    let is_shed = |r: &Reply| r.2 == Source::Shed as u8;
 
     for round in 0..cfg.rounds {
-        let mut expected = 0usize;
-        let mut deadline_req = None;
-        if let Some(plan) = &cfg.chaos {
-            if round == plan.kill_round {
-                match client
-                    .call(&Request::Crash {
-                        shard: plan.kill_shard,
-                    })
-                    .map_err(|e| e.to_string())?
-                {
-                    Response::Ok => {}
-                    other => return Err(format!("crash injection refused: {other:?}")),
-                }
-            }
-            if round == plan.reload_round {
-                match client
-                    .call(&Request::Reload {
-                        dir: plan.corrupt_dir.to_string_lossy().into_owned(),
-                    })
-                    .map_err(|e| e.to_string())?
-                {
-                    Response::Err(_) => reload_rejected = true,
-                    other => return Err(format!("corrupt reload was not rejected: {other:?}")),
-                }
-            }
-            if round == plan.burst_round {
-                match client
-                    .call(&Request::Hold {
-                        shard: plan.kill_shard,
-                        ms: plan.hold_ms,
-                    })
-                    .map_err(|e| e.to_string())?
-                {
-                    Response::Ok => {}
-                    other => return Err(format!("hold injection refused: {other:?}")),
-                }
-                // One deliberately-delayed request against the held shard:
-                // its 1 ms budget expires during the hold, so it must come
-                // back from the deadline fallback.
-                let victim = (0..cfg.streams)
-                    .find(|&s| crate::daemon::shard_of(s, shards) == plan.kill_shard as usize)
-                    .unwrap_or(0);
-                let id = req_id(round, plan.burst_factor, victim);
-                client
-                    .send(&Request::Decide {
-                        req_id: id,
-                        stream: victim,
-                        deadline_us: 1000,
-                        obs: synth_obs(profile, cfg.seed, victim, round),
-                    })
-                    .map_err(|e| e.to_string())?;
-                deadline_req = Some(id);
-                expected += 1;
-                requests += 1;
-                for rep in 0..plan.burst_factor {
-                    for stream in 0..cfg.streams {
-                        client
-                            .send(&Request::Decide {
-                                req_id: req_id(round, rep, stream),
-                                stream,
-                                deadline_us: 0,
-                                obs: synth_obs(profile, cfg.seed, stream, round),
-                            })
-                            .map_err(|e| e.to_string())?;
-                        expected += 1;
-                        requests += 1;
-                    }
-                }
-            }
+        let plan = cfg.chaos.as_ref();
+        if let Some(plan) = plan.filter(|p| p.kill_round == round) {
+            expect_ok(
+                &mut client,
+                &Request::Crash {
+                    shard: plan.kill_shard,
+                },
+            )?;
         }
-        if expected == 0 {
-            for stream in 0..cfg.streams {
-                client
-                    .send(&Request::Decide {
-                        req_id: req_id(round, 0, stream),
-                        stream,
-                        deadline_us: 0,
-                        obs: synth_obs(profile, cfg.seed, stream, round),
-                    })
-                    .map_err(|e| e.to_string())?;
-                expected += 1;
-                requests += 1;
-            }
-        }
-        let got = expect_decisions(client, expected)?;
-        responses += got.len() as u64;
-        if round < first_chaos {
-            for stream in 0..cfg.streams {
-                if let Some(&(action, _, _)) = got.get(&req_id(round, 0, stream)) {
-                    checksum = fnv_fold(checksum, round);
-                    checksum = fnv_fold(checksum, stream);
-                    checksum = fnv_fold(checksum, action as u64);
-                }
-            }
-        }
-        if let Some(plan) = &cfg.chaos {
-            if got
-                .values()
-                .any(|&(_, _, source)| source == Source::Shed as u8)
+        if let Some(plan) = plan.filter(|p| p.reload_round == round) {
+            let dir = plan.corrupt_dir.to_string_lossy().into_owned();
+            match client
+                .call(&Request::Reload { dir })
+                .map_err(|e| e.to_string())?
             {
-                shed_observed = true;
+                Response::Err(_) => reload_rejected = true,
+                other => return Err(format!("corrupt reload was not rejected: {other:?}")),
             }
-            if let Some(id) = deadline_req {
-                if matches!(got.get(&id), Some(&(_, _, s)) if s == Source::Deadline as u8) {
-                    deadline_fallback = true;
-                }
-            }
-            if round > plan.kill_round {
-                let killed = plan.kill_shard as usize;
-                for stream in 0..cfg.streams {
-                    if crate::daemon::shard_of(stream, shards) == killed {
-                        if let Some(&(_, _, source)) = got.get(&req_id(round, 0, stream)) {
-                            if source == Source::Guarded as u8 {
-                                post_kill_guarded = true;
-                            }
-                        }
-                    }
-                }
-            }
+        }
+        let replies = if let Some(plan) = plan.filter(|p| p.burst_round == round) {
+            let (got, deadline_id) = burst_round(&mut client, &profile, cfg, plan, shards, round)?;
+            requests += got.len() as u64;
+            responses += got.len() as u64;
+            shed_observed |= got.values().any(is_shed);
+            deadline_fallback |=
+                matches!(got.get(&deadline_id), Some(r) if r.2 == Source::Deadline as u8);
+            (0..cfg.streams)
+                .map(|s| got.get(&req_id(round, 0, s)).copied())
+                .collect::<Option<Vec<Reply>>>()
+                .ok_or(format!("burst round {round} lost a stream"))?
+        } else {
+            let replies = lockstep_round(
+                &mut client,
+                &profile,
+                cfg.seed,
+                cfg.streams,
+                round,
+                cfg.streams,
+            )?;
+            requests += cfg.streams;
+            responses += replies.len() as u64;
+            shed_observed |= replies.iter().any(is_shed);
+            replies
+        };
+        if round < first_chaos {
+            checksum = fold_round(checksum, round, &replies);
+        }
+        if let Some(plan) = plan.filter(|p| round > p.kill_round) {
+            post_kill_guarded |= replies.iter().enumerate().any(|(stream, r)| {
+                crate::daemon::shard_of(stream as u64, shards) == plan.kill_shard as usize
+                    && r.2 == Source::Guarded as u8
+            });
         }
     }
 
-    let (after, _) = stats(client)?;
+    let after = stats(&mut client)?;
     let shard_recovered =
         post_kill_guarded && (cfg.chaos.is_none() || after.restarts > before.restarts);
     Ok(ChaosOutcome {
@@ -799,103 +554,59 @@ fn chaos_phase(
     })
 }
 
-fn perf_phase(
-    socket: &Path,
+/// The chaos burst: holds the plan's shard, sends it one request whose
+/// 1 ms budget expires during the hold (so it must come back from the
+/// deadline fallback), then `burst_factor` decisions per stream. Returns
+/// every reply by request id, and the deadline request's id.
+fn burst_round(
+    client: &mut ServeClient,
     profile: &BaselineProfile,
     cfg: &BenchConfig,
-) -> Result<PerfOutcome, String> {
-    use crate::protocol::{read_frame, write_frame};
-
-    let stream = std::os::unix::net::UnixStream::connect(socket)
-        .map_err(|e| format!("perf connect failed: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("stream clone failed: {e}"))?;
-    let total = cfg.requests;
-    let streams = cfg.streams.max(1);
-    // Perf req-ids live above every chaos-phase id.
-    let base = 1u64 << 62;
-    let sent = std::sync::Mutex::new(HashMap::<u64, Instant>::with_capacity(total as usize));
-
-    let outcome = std::thread::scope(|scope| -> Result<PerfOutcome, String> {
-        let sent_ref = &sent;
-        let collector = scope.spawn(
-            move || -> Result<(LatencyHistogram, u64, u64, [u64; 4], Instant), String> {
-                let mut reader = std::io::BufReader::new(stream);
-                let mut hist = LatencyHistogram::default();
-                let (mut shed, mut deadline) = (0u64, 0u64);
-                let mut tiers = [0u64; 4];
-                let mut got = 0u64;
-                while got < total {
-                    let frame = read_frame(&mut reader)
-                        .map_err(|e| format!("perf receive failed: {e}"))?
-                        .ok_or("daemon closed connection mid-bench")?;
-                    match Response::decode(&frame) {
-                        Ok(Response::Decision {
-                            req_id,
-                            tier,
-                            source,
-                            ..
-                        }) => {
-                            got += 1;
-                            if let Some(at) = sent_ref.lock().unwrap().remove(&req_id) {
-                                hist.record(at.elapsed().as_nanos() as u64);
-                            }
-                            if let Some(slot) = tiers.get_mut(tier as usize) {
-                                *slot += 1;
-                            }
-                            if source == Source::Shed as u8 {
-                                shed += 1;
-                            } else if source == Source::Deadline as u8 {
-                                deadline += 1;
-                            }
-                        }
-                        Ok(other) => return Err(format!("unexpected perf response {other:?}")),
-                        Err(e) => return Err(format!("perf decode failed: {e}")),
-                    }
-                }
-                Ok((hist, shed, deadline, tiers, Instant::now()))
-            },
-        );
-
-        let start = Instant::now();
-        for i in 0..total {
-            if cfg.rate > 0.0 {
-                let due = start + Duration::from_secs_f64(i as f64 / cfg.rate);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
-            let stream_id = i % streams;
-            let round = (i / streams).wrapping_add(0x5EE0_0000_0000);
-            let req_id = base | i;
-            sent_ref.lock().unwrap().insert(req_id, Instant::now());
-            let req = Request::Decide {
+    plan: &ChaosPlan,
+    shards: usize,
+    round: u64,
+) -> Result<(HashMap<u64, Reply>, u64), String> {
+    expect_ok(
+        client,
+        &Request::Hold {
+            shard: plan.kill_shard,
+            ms: plan.hold_ms,
+        },
+    )?;
+    let victim = (0..cfg.streams)
+        .find(|&s| crate::daemon::shard_of(s, shards) == plan.kill_shard as usize)
+        .unwrap_or(0);
+    let deadline_id = req_id(round, plan.burst_factor, victim);
+    let mut sends = vec![(deadline_id, victim, 1000)];
+    for rep in 0..plan.burst_factor {
+        sends.extend((0..cfg.streams).map(|s| (req_id(round, rep, s), s, 0)));
+    }
+    for &(id, stream, deadline_us) in &sends {
+        client
+            .send(&Request::Decide {
+                req_id: id,
+                stream,
+                deadline_us,
+                obs: synth_obs(profile, cfg.seed, stream, round),
+            })
+            .map_err(|e| e.to_string())?;
+    }
+    let mut got = HashMap::with_capacity(sends.len());
+    while got.len() < sends.len() {
+        match client.recv() {
+            Ok(Response::Decision {
                 req_id,
-                stream: stream_id,
-                deadline_us: cfg.deadline_us,
-                obs: synth_obs(profile, cfg.seed, stream_id, round),
-            };
-            write_frame(&mut writer, &req.encode())
-                .map_err(|e| format!("perf send failed: {e}"))?;
+                action,
+                tier,
+                source,
+            }) => {
+                got.insert(req_id, (action, tier, source));
+            }
+            Ok(other) => return Err(format!("unexpected mid-burst response {other:?}")),
+            Err(e) => return Err(format!("burst receive failed: {e}")),
         }
-        let (hist, shed, deadline, tiers, done_at) = collector
-            .join()
-            .map_err(|_| "perf collector panicked".to_string())??;
-        let elapsed = (done_at - start).as_secs_f64().max(1e-9);
-        Ok(PerfOutcome {
-            requests: total,
-            decisions_per_sec: total as f64 / elapsed,
-            p50_ns: hist.quantile(0.5),
-            p99_ns: hist.quantile(0.99),
-            p999_ns: hist.quantile(0.999),
-            shed,
-            deadline_misses: deadline,
-            tier_decisions: tiers,
-        })
-    })?;
-    Ok(outcome)
+    }
+    Ok((got, deadline_id))
 }
 
 /// Parameters of the supervisor-style crash-restart drill.
@@ -1038,12 +749,6 @@ impl DrillDaemon {
         Ok(Self { child })
     }
 
-    /// SIGKILL — no drain, no flush; the crash the drill is about.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
     /// Reaps a daemon that was asked to shut down; true on exit status 0.
     fn wait_clean(mut self) -> Result<bool, String> {
         self.child
@@ -1058,44 +763,6 @@ impl Drop for DrillDaemon {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
-}
-
-/// Drives `rounds` lockstep rounds (one decision per stream), optionally
-/// folding every `(round, stream, action)` into a checksum in
-/// deterministic order.
-fn drill_rounds(
-    client: &mut ServeClient,
-    profile: &BaselineProfile,
-    seed: u64,
-    streams: u64,
-    rounds: std::ops::Range<u64>,
-    mut checksum: Option<&mut u64>,
-) -> Result<(), String> {
-    let req_id = |round: u64, stream: u64| (round << 24) | stream;
-    for round in rounds {
-        for stream in 0..streams {
-            client
-                .send(&Request::Decide {
-                    req_id: req_id(round, stream),
-                    stream,
-                    deadline_us: 0,
-                    obs: synth_obs(profile, seed, stream, round),
-                })
-                .map_err(|e| format!("drill send failed: {e}"))?;
-        }
-        let got = expect_decisions(client, streams as usize)?;
-        if let Some(sum) = checksum.as_deref_mut() {
-            for stream in 0..streams {
-                let Some(&(action, _, _)) = got.get(&req_id(round, stream)) else {
-                    return Err(format!("drill round {round} lost stream {stream}"));
-                };
-                *sum = fnv_fold(*sum, round);
-                *sum = fnv_fold(*sum, stream);
-                *sum = fnv_fold(*sum, action as u64);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Blocks until every shard has written a checkpoint strictly newer than
@@ -1158,62 +825,37 @@ pub fn run_restart_drill(
         let _ = std::fs::remove_dir_all(p);
         std::fs::create_dir_all(p).map_err(|e| format!("create {} failed: {e}", p.display()))
     };
-    let connect = |socket: &Path| {
-        ServeClient::connect_retry(socket, Duration::from_secs(10))
-            .map_err(|e| format!("drill connect failed: {e}"))
+    // Drives `rounds` lockstep rounds; returns their action checksum.
+    let drive = |client: &mut ServeClient, rounds: std::ops::Range<u64>| {
+        rounds.into_iter().try_fold(FNV_BASIS, |sum, round| {
+            let replies =
+                lockstep_round(client, &profile, cfg.seed, cfg.streams, round, cfg.streams)?;
+            Ok::<u64, String>(fold_round(sum, round, &replies))
+        })
     };
-    let fnv_basis = 0xcbf2_9ce4_8422_2325u64;
 
     // Reference lineage: never interrupted.
     let base_state = work_dir.join("baseline-state");
     let base_sock = work_dir.join(format!("drill-base-{pid}.sock"));
     mkdir(&base_state)?;
     let base = DrillDaemon::spawn(exe, &cfg.serve_args, &base_sock, &base_state, false)?;
-    let mut baseline_checksum = fnv_basis;
-    {
-        let mut client = connect(&base_sock)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            0..cfg.rounds_before,
-            None,
-        )?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            cfg.rounds_before..total,
-            Some(&mut baseline_checksum),
-        )?;
-        client
-            .call(&Request::Shutdown)
-            .map_err(|e| format!("reference shutdown failed: {e}"))?;
-    }
+    let mut client = connect(&base_sock)?;
+    drive(&mut client, 0..cfg.rounds_before)?;
+    let baseline_checksum = drive(&mut client, cfg.rounds_before..total)?;
+    expect_ok(&mut client, &Request::Shutdown)?;
     let base_clean = base.wait_clean()?;
 
     // Victim lineage: warm, quiesce, SIGKILL.
     let crash_state = work_dir.join("crash-state");
     let crash_sock = work_dir.join(format!("drill-crash-{pid}.sock"));
     mkdir(&crash_state)?;
-    let mut victim = DrillDaemon::spawn(exe, &cfg.serve_args, &crash_sock, &crash_state, false)?;
-    let shards = {
-        let mut client = connect(&crash_sock)?;
-        let (_, shards) = stats(&mut client)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            0..cfg.rounds_before,
-            None,
-        )?;
-        shards
-    };
+    let victim = DrillDaemon::spawn(exe, &cfg.serve_args, &crash_sock, &crash_state, false)?;
+    let mut client = connect(&crash_sock)?;
+    let shards = stats(&mut client)?.shards as usize;
+    drive(&mut client, 0..cfg.rounds_before)?;
+    drop(client);
     await_quiescent_checkpoint(&crash_state, shards)?;
-    victim.kill();
+    drop(victim); // SIGKILL: no drain, no flush — the crash under test
 
     let faults = match corrupt {
         Some(inject) => inject(&crash_state)?,
@@ -1222,23 +864,10 @@ pub fn run_restart_drill(
 
     // Recovery lineage: restart on the (possibly damaged) state directory.
     let revived = DrillDaemon::spawn(exe, &cfg.serve_args, &crash_sock, &crash_state, true)?;
-    let mut recovered_checksum = fnv_basis;
-    let snap = {
-        let mut client = connect(&crash_sock)?;
-        drill_rounds(
-            &mut client,
-            &profile,
-            cfg.seed,
-            cfg.streams,
-            cfg.rounds_before..total,
-            Some(&mut recovered_checksum),
-        )?;
-        let (snap, _) = stats(&mut client)?;
-        client
-            .call(&Request::Shutdown)
-            .map_err(|e| format!("recovered shutdown failed: {e}"))?;
-        snap
-    };
+    let mut client = connect(&crash_sock)?;
+    let recovered_checksum = drive(&mut client, cfg.rounds_before..total)?;
+    let snap = stats(&mut client)?;
+    expect_ok(&mut client, &Request::Shutdown)?;
     let revived_clean = revived.wait_clean()?;
 
     let admitted = cfg.streams;
@@ -1309,6 +938,39 @@ mod tests {
     }
 
     #[test]
+    fn chaos_gate_needs_the_shed_and_the_deadline_fallback() {
+        let survived = ChaosOutcome {
+            seed: 7,
+            streams: 8,
+            rounds: 24,
+            plan: "kill".to_string(),
+            requests: 280,
+            responses: 280,
+            prechaos_checksum: 1,
+            daemon_alive: true,
+            shard_recovered: true,
+            reload_rejected: true,
+            generation_unchanged: true,
+            shed_observed: true,
+            deadline_fallback: true,
+        };
+        assert!(survived.all_good());
+        let no_shed = ChaosOutcome {
+            shed_observed: false,
+            ..survived.clone()
+        };
+        assert!(!no_shed.all_good(), "a burst that shed nothing must fail");
+        let no_deadline = ChaosOutcome {
+            deadline_fallback: false,
+            ..survived
+        };
+        assert!(
+            !no_deadline.all_good(),
+            "an expired request not answered by the fallback must fail"
+        );
+    }
+
+    #[test]
     fn drill_outcome_json_is_stable_and_gates_correctly() {
         let outcome = DrillOutcome {
             seed: 7,
@@ -1350,34 +1012,5 @@ mod tests {
         assert!(plan.burst_round < plan.reload_round);
         assert!(plan.reload_round < 40);
         assert_eq!(plan.first_round(), plan.kill_round);
-    }
-
-    #[test]
-    fn bench_rows_cover_throughput_and_latency() {
-        let summary = BenchSummary {
-            chaos: None,
-            perf: Some(PerfOutcome {
-                requests: 100,
-                decisions_per_sec: 1234.5,
-                p50_ns: 1024,
-                p99_ns: 4096,
-                p999_ns: 8192,
-                shed: 0,
-                deadline_misses: 0,
-                tier_decisions: [90, 6, 3, 1],
-            }),
-        };
-        let rows = summary.bench_rows();
-        assert_eq!(rows.len(), 4);
-        assert!(rows[0].contains("serve_throughput/decisions_per_sec"));
-        assert!(rows[1].contains("serve_latency/p50_ns"));
-        for row in &rows {
-            assert!(row.starts_with("{\"bench\":\"") && row.ends_with('}'));
-        }
-        let json = summary.perf.as_ref().unwrap().to_json();
-        assert!(
-            json.contains("\"tier_decisions\":{\"fsm\":90,\"quant\":6,\"exact\":3,\"baseline\":1}"),
-            "per-tier counts missing from the perf summary: {json}"
-        );
     }
 }

@@ -21,6 +21,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use crate::metrics::MetricsSnapshot;
 use crate::protocol::{read_frame, write_frame, Request, Response};
 
 /// Bounded-retry knobs for [`ServeClient::connect_backoff`] and
@@ -205,6 +206,17 @@ impl ServeClient {
             other => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("unexpected ping response {other:?}"),
+            )),
+        }
+    }
+
+    /// One [`Request::Stats`] round trip, parsed into a snapshot.
+    pub fn stats(&mut self) -> std::io::Result<MetricsSnapshot> {
+        match self.call(&Request::Stats)? {
+            Response::StatsJson(json) => Ok(MetricsSnapshot::from_json(&json)),
+            other => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("unexpected stats response {other:?}"),
             )),
         }
     }

@@ -7,7 +7,7 @@
 //! stream's requests are always ordered through one worker.
 //!
 //! Admission control: enqueue uses `try_send` against the bounded shard
-//! queue, retrying `admission_retries` times with a short backoff on
+//! queue, retrying `ADMISSION_RETRIES` times with a short backoff on
 //! transient fullness; persistent fullness *sheds* the request — it is
 //! answered inline from the scenario-baseline fallback policy (labelled
 //! [`crate::Source::Shed`]) instead of being rejected, and counted.
@@ -39,6 +39,12 @@ use crate::protocol::{read_frame, write_frame, Request, Response, Source};
 use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
 use crate::telemetry::{run_aggregator, telemetry_channel, TelemetryHub};
 
+/// `try_send` retries before a request is shed.
+const ADMISSION_RETRIES: u32 = 2;
+
+/// Sleep between admission retries.
+const RETRY_BACKOFF: Duration = Duration::from_micros(100);
+
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -46,28 +52,14 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bounded per-shard queue capacity (admission control trips beyond).
     pub queue_capacity: usize,
-    /// Maximum requests drained into one batch. Clamped below the blocked-
-    /// GEMM row cutoff so batching never changes per-row results.
-    pub batch_max: usize,
     /// Maximum live streams per shard; excess streams are shed.
     pub max_streams: usize,
-    /// try_send retries before a request is shed.
-    pub admission_retries: u32,
-    /// Sleep between admission retries, microseconds.
-    pub retry_backoff_us: u64,
     /// Whether chaos requests ([`Request::Crash`], [`Request::Hold`]) are
     /// honoured. Off by default; the chaos harness turns it on.
     pub allow_chaos: bool,
-    /// Initial worker restart backoff after a panic, milliseconds.
-    pub restart_backoff_ms: u64,
-    /// Restart backoff ceiling, milliseconds.
-    pub restart_backoff_cap_ms: u64,
     /// Decisions between periodic full-guard audits of a compact stream
     /// (staggered per stream; 0 disables audits).
     pub audit_every: u64,
-    /// Maximum concurrently materialized audits per shard; further due
-    /// audits are deferred, not skipped.
-    pub audit_budget: usize,
     /// Idle shard ticks (batches or 20 ms idle intervals) before a compact
     /// stream hibernates into the arena (0 disables hibernation).
     pub hibernate_after: u64,
@@ -92,15 +84,9 @@ impl Default for ServeConfig {
         Self {
             shards: 2,
             queue_capacity: 64,
-            batch_max: 12,
             max_streams: 1024,
-            admission_retries: 2,
-            retry_backoff_us: 100,
             allow_chaos: false,
-            restart_backoff_ms: 10,
-            restart_backoff_cap_ms: 500,
             audit_every: 4096,
-            audit_budget: 8,
             hibernate_after: 512,
             sweep_every: 32,
             max_hibernated: 1 << 20,
@@ -112,18 +98,14 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Clamps fields into their safe ranges (at least one shard, batch
-    /// size below the blocked-GEMM cutoff, non-zero queue).
+    /// Clamps fields into their safe ranges (1–256 shards, non-zero
+    /// queue, table, sweep cadence and arena).
     pub fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, 256);
         self.queue_capacity = self.queue_capacity.max(1);
-        // lahd_tensor::gemm::BLOCK_MIN_ROWS is 16; staying strictly below
-        // keeps every batch on the per-row GEMV path (bit-stable rows).
-        self.batch_max = self.batch_max.clamp(1, 15);
         self.max_streams = self.max_streams.max(1);
         self.sweep_every = self.sweep_every.max(1);
         self.max_hibernated = self.max_hibernated.max(1);
-        self.audit_budget = self.audit_budget.max(1);
         self
     }
 }
@@ -463,14 +445,14 @@ fn route_decide(
         obs,
         reply: tx_resp.clone(),
     };
-    for attempt in 0..=shared.cfg.admission_retries {
+    for attempt in 0..=ADMISSION_RETRIES {
         match senders[shard].try_send(msg) {
             Ok(()) => return,
             Err(TrySendError::Full(back)) => {
                 ServeMetrics::bump(&shared.metrics.queue_full);
                 msg = back;
-                if attempt < shared.cfg.admission_retries {
-                    std::thread::sleep(Duration::from_micros(shared.cfg.retry_backoff_us));
+                if attempt < ADMISSION_RETRIES {
+                    std::thread::sleep(RETRY_BACKOFF);
                 }
             }
             Err(TrySendError::Disconnected(back)) => {

@@ -35,12 +35,16 @@
 //!   bit-identically after a crash, truncating torn tails and
 //!   quarantining corrupt records instead of panicking.
 //!
-//! [`run_bench`] is the deterministic load + chaos harness behind
-//! `lahd serve-bench` (kill a shard, burst 10× load, offer a corrupt
-//! reload), whose chaos summary is byte-reproducible under a fixed seed;
+//! Three correctness harnesses drive a daemon with seeded lockstep load.
+//! [`run_bench`] is the chaos plan behind `lahd serve-bench --chaos`
+//! (kill a shard, burst 10× load, offer a corrupt reload); its summary is
+//! byte-reproducible under a fixed seed. [`run_streams_sweep`] admits up
+//! to 10⁵ streams and reads the live bytes per stream.
 //! [`run_restart_drill`] is the supervisor-style crash-restart drill
 //! behind `lahd serve-drill` (SIGKILL mid-load → restart with recovery →
-//! action-checksum lockstep against an uninterrupted daemon).
+//! action-checksum lockstep against an uninterrupted daemon). Serving
+//! throughput and latency are measured by the repository benchmark in
+//! `perfbench/`, not by these harnesses.
 
 mod alloc;
 mod bench;
@@ -58,8 +62,7 @@ mod telemetry;
 pub use alloc::{live_bytes, rss_bytes, CountingAllocator};
 pub use bench::{
     load_profile, prepare_corrupt_candidate, run_bench, run_restart_drill, run_streams_sweep,
-    BenchConfig, BenchSummary, ChaosOutcome, ChaosPlan, DrillConfig, DrillOutcome, PerfOutcome,
-    StreamsSweep, SweepPoint,
+    BenchConfig, ChaosOutcome, ChaosPlan, DrillConfig, DrillOutcome, StreamsSweep, SweepPoint,
 };
 pub use bundle::ServeBundle;
 pub use client::{ClientError, RetryPolicy, ServeClient};

@@ -118,17 +118,22 @@ pub fn render_stats_json(
 }
 
 /// A tiny snapshot of the counters, parsed back out of the JSON the daemon
-/// serves — what the bench harness and the verify gate read.
+/// serves — what the harnesses, the CLI and the tests read.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Bundle generation at snapshot time.
     pub generation: u64,
+    /// Shard worker count.
+    pub shards: u64,
     /// Decisions served on the guarded path.
     pub served: u64,
     /// Decisions shed by admission control (connection + shard side).
     pub shed: u64,
     /// Deadline misses answered from the fallback tier.
     pub deadline_misses: u64,
+    /// Decisions served per ladder tier, indexed `[fsm, quant, exact,
+    /// baseline]`.
+    pub tier_decisions: [u64; TIERS],
     /// Panics caught.
     pub panics: u64,
     /// Shard restarts completed.
@@ -180,11 +185,21 @@ impl MetricsSnapshot {
                 })
                 .unwrap_or(0)
         };
+        let mut tier_decisions = [0u64; TIERS];
+        let needle = "\"tier_decisions\":[";
+        if let Some(at) = json.find(needle) {
+            let list = json[at + needle.len()..].split(']').next().unwrap_or("");
+            for (slot, v) in tier_decisions.iter_mut().zip(list.split(',')) {
+                *slot = v.trim().parse().unwrap_or(0);
+            }
+        }
         Self {
             generation: field("generation"),
+            shards: field("shards"),
             served: field("served"),
             shed: field("shed"),
             deadline_misses: field("deadline_misses"),
+            tier_decisions,
             panics: field("panics"),
             restarts: field("restarts"),
             reloads_ok: field("reloads_ok"),
@@ -204,7 +219,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Live streams across tiers (the denominator serve-bench's
+    /// Live streams across tiers (the denominator the streams sweep's
     /// bytes/stream measurement divides by).
     pub fn streams_total(&self) -> u64 {
         self.streams_compact + self.streams_resident + self.streams_hibernated
@@ -223,8 +238,8 @@ const OCTAVES: usize = 40;
 /// Number of log-linear latency buckets.
 const BUCKETS: usize = OCTAVES * SUBS;
 
-/// Log-linear (HDR-style) latency histogram (single-threaded; shards and
-/// the bench harness own one each, merged off-path by the aggregator).
+/// Log-linear (HDR-style) latency histogram (single-threaded; each shard
+/// owns one, merged off-path by the aggregator).
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     counts: [u64; BUCKETS],
@@ -337,7 +352,9 @@ mod tests {
         let json = render_stats_json(3, 2, &m, &snap);
         let parsed = MetricsSnapshot::from_json(&json);
         assert_eq!(parsed.generation, 3);
+        assert_eq!(parsed.shards, 2);
         assert_eq!(parsed.served, 2);
+        assert_eq!(parsed.tier_decisions, [1, 0, 1, 0]);
         assert_eq!(parsed.shed, 3, "conn-side + shard-side sheds sum");
         assert_eq!(parsed.panics, 1);
         assert_eq!(parsed.restarts, 1);

@@ -91,6 +91,23 @@ const RELEASE_AFTER: u64 = 64;
 /// large tables; the hand wraps, so coverage is eventual and fair).
 const SWEEP_CHUNK: usize = 1024;
 
+/// Maximum requests drained into one batch. Strictly below the blocked-
+/// GEMM row cutoff, so every batch stays on the per-row GEMV path and
+/// batching never changes per-row results.
+const BATCH_MAX: usize = 12;
+const _: () = assert!(BATCH_MAX < lahd_tensor::gemm::BLOCK_MIN_ROWS);
+
+/// Maximum concurrently materialized audits per shard; further due audits
+/// are deferred, not skipped.
+const AUDIT_BUDGET: usize = 8;
+
+/// Initial worker restart backoff after a panic, milliseconds; doubles per
+/// consecutive panic up to [`RESTART_BACKOFF_CAP_MS`].
+const RESTART_BACKOFF_MS: u64 = 10;
+
+/// Restart backoff ceiling, milliseconds.
+const RESTART_BACKOFF_CAP_MS: u64 = 500;
+
 /// A message on a shard's queue.
 pub enum ShardMsg {
     /// One decision request.
@@ -402,7 +419,7 @@ impl ShardState {
             fsm_scalar,
             fsm_states: Vec::new(),
             fsm_outcomes: Vec::new(),
-            batched: StreamSet::with_capacity(shared.cfg.batch_max),
+            batched: StreamSet::with_capacity(BATCH_MAX),
             micro_cfg: MicroConfig::default(),
             tick: 0,
             clock_hand: 0,
@@ -671,7 +688,7 @@ impl ShardState {
                         self.materialize(r, &req.obs, action, false);
                     }
                     MicroVerdict::Healthy if audit_due => {
-                        if self.audits_active < shared.cfg.audit_budget {
+                        if self.audits_active < AUDIT_BUDGET {
                             self.materialize(r, &req.obs, action, true);
                         } else if let Some(StreamEntry::Compact(compact)) = self.streams.get_mut(r)
                         {
@@ -1104,7 +1121,7 @@ struct DecideReq {
 /// loop with exponential backoff whenever it panics. The queue receiver
 /// outlives the panic, so in-flight requests survive worker crashes.
 pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>) {
-    let mut backoff_ms = shared.cfg.restart_backoff_ms.max(1);
+    let mut backoff_ms = RESTART_BACKOFF_MS;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_loop(index, &rx, &shared)));
         match outcome {
@@ -1115,7 +1132,7 @@ pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>)
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(shared.cfg.restart_backoff_cap_ms.max(1));
+                backoff_ms = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
                 ServeMetrics::bump(&shared.metrics.restarts);
             }
         }
@@ -1124,7 +1141,6 @@ pub fn run_shard(index: usize, rx: Receiver<ShardMsg>, shared: Arc<SharedState>)
 
 fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
     let mut state = ShardState::fresh(index, shared);
-    let batch_max = shared.cfg.batch_max;
     let sweep_every = shared.cfg.sweep_every.max(1);
     let checkpoint_every = shared.cfg.checkpoint_every;
     loop {
@@ -1154,7 +1170,7 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
                 return;
             }
         };
-        let mut batch: Vec<DecideReq> = Vec::with_capacity(batch_max);
+        let mut batch: Vec<DecideReq> = Vec::with_capacity(BATCH_MAX);
         let mut control: Option<ShardMsg> = None;
         match first {
             ShardMsg::Decide {
@@ -1174,7 +1190,7 @@ fn serve_loop(index: usize, rx: &Receiver<ShardMsg>, shared: &SharedState) {
             }),
             other => control = Some(other),
         }
-        while control.is_none() && batch.len() < batch_max {
+        while control.is_none() && batch.len() < BATCH_MAX {
             match rx.try_recv() {
                 Ok(ShardMsg::Decide {
                     req_id,

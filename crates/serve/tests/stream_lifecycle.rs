@@ -17,8 +17,8 @@ use lahd_core::{save_artifacts, Pipeline, PipelineConfig};
 use lahd_fsm::CompiledCursor;
 use lahd_serve::{
     load_profile, prepare_corrupt_candidate, run_bench, run_streams_sweep, serve_dir, BenchConfig,
-    ChaosPlan, CompactStream, HibernationArena, MetricsSnapshot, Request, Response, ServeBundle,
-    ServeClient, ServeConfig, ServeHandle,
+    ChaosPlan, CompactStream, HibernationArena, Request, Response, ServeBundle, ServeClient,
+    ServeConfig, ServeHandle,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -115,10 +115,8 @@ fn forced_hibernation_is_action_identical_to_default_daemon() {
     let bench = BenchConfig {
         streams: 6,
         rounds: 16,
-        requests: 0,
         seed: 33,
         chaos: None,
-        ..BenchConfig::default()
     };
     let mut jsons = Vec::new();
     for (name, cfg) in [
@@ -135,8 +133,7 @@ fn forced_hibernation_is_action_identical_to_default_daemon() {
         let socket = std::env::temp_dir().join(format!("lahd_lifecycle_{name}.sock"));
         let (pcfg, _) = artifacts();
         let handle = serve_dir(pcfg, dir, cfg, &socket).unwrap();
-        let summary = run_bench(&socket, dir, &bench).unwrap();
-        let chaos = summary.chaos.expect("lockstep phase ran");
+        let chaos = run_bench(&socket, dir, &bench).unwrap();
         assert_eq!(
             chaos.responses, chaos.requests,
             "{name} answered everything"
@@ -161,17 +158,14 @@ fn chaos_plan_on_hibernating_daemon_is_survived_and_reproducible() {
     let bench = BenchConfig {
         streams: 8,
         rounds,
-        requests: 0,
         seed: 7,
         chaos: Some(ChaosPlan::standard(rounds, corrupt)),
-        ..BenchConfig::default()
     };
     let mut jsons = Vec::new();
     for run in 0..2 {
         let socket = std::env::temp_dir().join(format!("lahd_lifecycle_chaos_{run}.sock"));
         let handle = serve_dir(pcfg, dir, hibernating_cfg(true), &socket).unwrap();
-        let summary = run_bench(&socket, dir, &bench).unwrap();
-        let chaos = summary.chaos.expect("chaos phase ran");
+        let chaos = run_bench(&socket, dir, &bench).unwrap();
         assert!(chaos.all_good(), "plan survived with hibernation forced");
         jsons.push(chaos.to_json());
         shutdown(handle);
@@ -240,12 +234,6 @@ fn durable_restart_resumes_streams_bit_identically() {
         }
         actions
     };
-    let stats = |client: &mut ServeClient| -> MetricsSnapshot {
-        match client.call(&Request::Stats).unwrap() {
-            Response::StatsJson(json) => MetricsSnapshot::from_json(&json),
-            other => panic!("unexpected stats response {other:?}"),
-        }
-    };
 
     // Reference: one daemon, no persistence, never interrupted.
     let expected = {
@@ -293,7 +281,7 @@ fn durable_restart_resumes_streams_bit_identically() {
     let handle = serve_dir(pcfg, dir, recovering, &socket).unwrap();
     let mut client = ServeClient::connect_retry(&socket, Duration::from_secs(5)).unwrap();
     let resumed = drive(&mut client, warm_rounds, warm_rounds + probe_rounds);
-    let snap = stats(&mut client);
+    let snap = client.stats().unwrap();
     assert_eq!(
         snap.recovered_streams, streams,
         "every warm stream must come back from durable state"
@@ -308,7 +296,7 @@ fn durable_restart_resumes_streams_bit_identically() {
 }
 
 #[test]
-fn streams_sweep_admits_everyone_and_reports_rates() {
+fn streams_sweep_admits_everyone_and_reports_memory() {
     let (pcfg, dir) = artifacts();
     let base = ServeConfig {
         shards: 2,
@@ -322,15 +310,12 @@ fn streams_sweep_admits_everyone_and_reports_rates() {
             "closed-loop warm admits every stream"
         );
         assert_eq!(p.shed, 0, "windowed load never overruns the queues");
-        assert!(p.decisions_per_sec > 0.0);
         assert_eq!(p.hibernated, 0, "the sweep disables the cold tier");
         assert_eq!(p.compact + p.resident, p.admitted);
+        // Tests run without the counting allocator installed, so the live
+        // measurement reads 0.
+        assert_eq!(p.live_bytes_per_stream, 0);
     }
-    let rows = sweep.bench_rows();
-    assert!(rows.iter().any(|r| r.contains("serve_streams/48_per_sec")));
-    // Unit tests run without the counting allocator installed: the live
-    // measurement reads 0 and its rows must be omitted, not emitted as 0.
-    assert!(!rows.iter().any(|r| r.contains("live_bytes_per_stream")));
     let json = sweep.to_json();
     assert!(json.contains("\"streams\":48") && json.contains("\"streams\":96"));
 }

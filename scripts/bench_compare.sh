@@ -16,28 +16,9 @@
 # fail the check.
 #
 # Most rows store ns/iter, where bigger is worse. Rows whose name matches
-# `per_sec` or `throughput` (the serve_throughput/* rows from
-# `lahd serve-bench`) store a rate, where *smaller* is worse; the gate
-# flips direction for those and flags `delta < -threshold`.
-#
-# serve_latency/* rows are end-to-end wall-clock quantiles of a live
-# daemon (scheduler wakeups, socket queueing) — far noisier than ns/iter
-# medians. The p50 row is robust run-to-run (the paced phase is ~1 s,
-# see bench_snapshot.sh) and is gated at 4x the threshold so only an
-# order-of-magnitude change (a lost batching path, an accidental sleep
-# on the decision path) fails the check. The p99/p999 rows are
-# INFORMATIONAL only (tabulated, never fail): on a shared single-vCPU
-# box a noisy neighbour stealing the core for a few ms lands squarely
-# in the tail quantiles — observed same-baseline swings reach 10x with
-# every other row quiet — so any threshold on them either flakes or is
-# vacuous. They stay in the snapshots as trajectory data.
-#
-# serve_streams/* splits the same way: the *_per_sec rate rows are gated
-# (higher is better, like serve_throughput), while the
-# *_bytes_per_stream rows are INFORMATIONAL — at the small sweep sizes
-# the per-stream delta is dominated by table preallocation slack (the 1k
-# row reads single-digit bytes), so relative thresholds on them flake;
-# the absolute ≤256 B/stream budget is enforced by verify.sh instead.
+# `per_sec` or `throughput` (e.g. fsm_step/compiled_batch8_decisions_per_sec)
+# store a rate, where *smaller* is worse; the gate flips direction for
+# those and flags `delta < -threshold`.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -73,23 +54,13 @@ BEGIN {
     # Rate rows regress downward; everything else (ns/iter) upward.
     higher_is_better = (name ~ /per_sec|throughput/)
     severity = higher_is_better ? -delta : delta
-    # Wall-clock daemon quantiles get 4x headroom; tail quantiles are
-    # informational only (see header).
-    row_thr = (name ~ /serve_latency/) ? thr * 4 : thr
-    informational = (name ~ /serve_latency\/p9/ || name ~ /bytes_per_stream/)
     mark = ""
-    if (severity > row_thr) {
-        if (informational) {
-            mark = "  (tail, informational)"
-        } else {
-            mark = "  REGRESSION"; failures++
-        }
-    }
-    if (!informational && severity / row_thr > worst) worst = severity / row_thr
+    if (severity > thr) { mark = "  REGRESSION"; failures++ }
+    if (severity / thr > worst) worst = severity / thr
     printf("%-48s %14.1f %14.1f %+8.1f%%%s\n", name, a, b, delta, mark)
 }
 END {
-    printf("\nworst severity at %.0f%% of its row threshold (base %s%%)\n", worst * 100, thr)
+    printf("\nworst severity at %.0f%% of the %s%% threshold\n", worst * 100, thr)
     if (failures > 0) {
         printf("%d bench(es) regressed beyond the threshold\n", failures)
         exit 1

@@ -44,44 +44,12 @@ LAHD_BENCH_QUICK=1 LAHD_BENCH_JSON="$tmp" cargo bench -p lahd-bench \
     --bench micro_sim_step \
     --bench micro_workload_gen
 
-# End-to-end serving rows (serve_throughput/*, serve_latency/*): two
-# self-hosted `lahd serve-bench` open-loop runs over tiny artifacts.
-# Throughput comes from an unpaced run (the daemon's capacity); latency
-# from a run paced well below capacity, so the quantiles measure service
-# time rather than queue depth (at max rate p50 just reads the bounded
-# queue's drain time, which tracks 1/throughput and is far noisier).
-# The throughput row is decisions/sec — higher is better, and
-# bench_compare.sh keys off the per_sec/throughput name; the latency
-# rows are wall-clock ns bucket bounds (≤25% buckets) and get a wider
-# compare threshold (see bench_compare.sh). Both serve runs drive 20k
-# requests (~1 s paced at 25k/s): at 2k requests the paced phase lasted
-# ~80 ms, p999 was the worst 2 requests, and one scheduler hiccup on
-# the shared vCPU swung the tail rows 4-8x between runs — since
-# BENCH_6.json the longer phase keeps back-to-back p99/p999 within
-# ~1.5x, which is what makes gating them meaningful at all.
-cargo build --release -p lahd-cli
-serve_dir="$(mktemp -d)"
-trap 'rm -f "$tmp"; rm -rf "$serve_dir"' EXIT
-target/release/lahd pipeline --scale tiny --out "$serve_dir" >/dev/null
-target/release/lahd serve-bench --scale tiny --artifacts "$serve_dir" \
-    --rounds 0 --requests 20000 --streams 8 \
-    --bench-json "$serve_dir/rows.json" >/dev/null
-grep "serve_throughput" "$serve_dir/rows.json" >> "$tmp"
-target/release/lahd serve-bench --scale tiny --artifacts "$serve_dir" \
-    --rounds 0 --requests 20000 --streams 8 --rate 25000 \
-    --bench-json "$serve_dir/rows.json" >/dev/null
-grep "serve_latency" "$serve_dir/rows.json" >> "$tmp"
-
-# Memory-scaling rows (serve_streams/*): the streams sweep self-hosts one
-# daemon per size, admits every stream with a closed-loop warm round, and
-# reports closed-loop decisions/sec plus measured bytes/stream (counting
-# allocator + VmRSS). Rate rows are gated higher-is-better by
-# bench_compare.sh; the bytes rows are informational trajectory data —
-# the hard ≤256 B/stream budget is verify.sh's absolute gate.
-target/release/lahd serve-bench --scale tiny --artifacts "$serve_dir" \
-    --streams-sweep 1000,10000,100000 --shards 2 \
-    --bench-json "$serve_dir/rows.json" >/dev/null
-grep "serve_streams" "$serve_dir/rows.json" >> "$tmp"
+# Serving throughput and latency are not micro rows: the repository
+# benchmark (perfbench/, see perfbench/README.md) measures them end to
+# end against a real `lahd serve` child. Snapshots up to BENCH_8.json
+# also carry serve_throughput/*, serve_latency/* and serve_streams/* rows
+# from the retired `lahd serve-bench` perf phase; bench_compare.sh lists
+# them as `gone`.
 
 awk 'BEGIN { print "{"; first = 1 }
 /"bench"/ {

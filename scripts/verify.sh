@@ -27,29 +27,32 @@
 #    verification, not just a unit suite.
 # 7. Serving gate: a self-hosted `lahd serve-bench --chaos` run over tiny
 #    artifacts (shard kill + burst + corrupt hot reload must all be
-#    survived with the old generation still serving) whose per-tier
-#    decision counts must show the compiled FSM tier serving; a
-#    100k-stream sweep that must admit ≥99% of streams within the
+#    survived with the old generation still serving, the burst must shed
+#    and the 1 ms-deadline request must be answered from the fallback)
+#    whose daemon-side per-tier decision counts must show the compiled
+#    FSM tier serving; a 100k-stream sweep that must admit ≥99% of streams within the
 #    ≤256 B/stream live-heap budget (LAHD_SWEEP_BYTES_BUDGET) and a
 #    coarse RSS ceiling (LAHD_SWEEP_RSS_MB); then an external
-#    `lahd serve` process driven over its Unix socket and shut down via
-#    a protocol request — the daemon must exit 0.
+#    `lahd serve` process driven with lockstep rounds over its Unix
+#    socket and shut down via a protocol request — the daemon must exit 0.
 # 8. Durability gates: a clean `lahd serve-drill` (SIGKILL a durable
 #    daemon after a quiescent checkpoint, restart with --recover, compare
 #    action checksums against an uninterrupted reference — ≥99% of streams
 #    must resume bit-identically) and a `--corrupt` drill (seeded torn
 #    tail + bit flip + duplicated journal record must be quarantined with
 #    a clean exit, never a panic).
-# 9. Quick-mode bench snapshot compared against the latest committed
-#    BENCH_<n>.json with a loose 50% threshold, so a hot-path regression
-#    fails verification instead of only surfacing in the next snapshot.
-#    Since BENCH_4.json the gate also covers the quantized rows
+# 9. The repository benchmark's self-tests: `perfbench/` is its own
+#    cargo workspace, so tier-1 does not reach its unit tests (percentile
+#    and window maths, traffic replay, reply checking, stats parsing).
+# 10. Quick-mode micro-bench snapshot compared against the latest
+#    committed BENCH_<n>.json with a loose 50% threshold, so a hot-path
+#    regression fails verification instead of only surfacing in the next
+#    snapshot. Since BENCH_4.json the gate also covers the quantized rows
 #    (gemv_packed_i8_*, gru128_forward_quant*, readahead sim/inference);
-#    since BENCH_5.json also the serving rows (serve_protocol/* framing,
-#    serve_throughput/* and serve_latency/* from `lahd serve-bench` —
-#    rate rows are gated higher-is-better); since BENCH_8.json also the
-#    durability rows (serve_persist/* checkpoint write, recovery scan,
-#    journal append).
+#    since BENCH_5.json also serve_protocol/* framing; since BENCH_8.json
+#    also the durability rows (serve_persist/* checkpoint write, recovery
+#    scan, journal append). End-to-end serving throughput and latency
+#    belong to perfbench (see perfbench/README.md), not to this gate.
 #    Skip with LAHD_SKIP_BENCH_GATE=1 (e.g. on a loaded box).
 set -euo pipefail
 
@@ -107,7 +110,7 @@ echo "== serving gate: self-hosted chaos plan must be survived"
 # old artifact generation serving after rejecting the corrupt bundle.
 serve_out="$("$lahd_bin" serve-bench --scale tiny \
     --artifacts "$smoke_dir/dorado-migration" \
-    --streams 4 --rounds 12 --requests 1000 --chaos \
+    --streams 4 --rounds 12 --chaos \
     --shards 2 --queue-capacity 16)"
 if ! grep -q "chaos plan SURVIVED" <<<"$serve_out"; then
     echo "serve-bench chaos plan did not report survival:"
@@ -115,9 +118,10 @@ if ! grep -q "chaos plan SURVIVED" <<<"$serve_out"; then
     exit 1
 fi
 # Compiled-tier smoke: healthy streams ride rung 0 (the compiled FSM), so
-# the per-tier decision counts must show the fsm tier actually serving —
-# a machine that silently stops lowering (or a shard that stops routing
-# to the compiled path) fails verification here.
+# the daemon's per-tier decision counts (read from its stats document
+# after the chaos run) must show the fsm tier actually serving — a
+# machine that silently stops lowering (or a shard that stops routing to
+# the compiled path) fails verification here.
 if ! grep -qE "tiers fsm=[1-9][0-9]*" <<<"$serve_out"; then
     echo "serve-bench reported no compiled-FSM-tier decisions:"
     echo "$serve_out"
@@ -165,8 +169,7 @@ serve_sock="$smoke_dir/verify-serve.sock"
     --socket "$serve_sock" --shards 2 >/dev/null &
 serve_pid=$!
 "$lahd_bin" serve-bench --scale tiny --artifacts "$smoke_dir/dorado-migration" \
-    --socket "$serve_sock" --rounds 8 --requests 200 \
-    --shutdown-daemon >/dev/null
+    --socket "$serve_sock" --rounds 8 --shutdown-daemon >/dev/null
 if ! wait "$serve_pid"; then
     echo "lahd serve did not exit cleanly after a shutdown request"
     exit 1
@@ -214,6 +217,9 @@ if grep -q '"quarantined":0,' "$drill_json"; then
 fi
 
 rm -rf "$smoke_dir"
+
+echo "== benchmark self-tests: cargo test --release (perfbench/)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 if [ "${LAHD_SKIP_BENCH_GATE:-0}" = "1" ]; then
     echo "== perf gate: skipped (LAHD_SKIP_BENCH_GATE=1)"
