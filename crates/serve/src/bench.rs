@@ -126,7 +126,8 @@ pub struct ChaosOutcome {
     pub rounds: u64,
     /// Human-readable plan description ("none" without a plan).
     pub plan: String,
-    /// Requests sent.
+    /// Decision requests in the rounds driven (one whose send failed
+    /// counts, and goes unanswered).
     pub requests: u64,
     /// Responses received (must equal `requests`: shedding degrades, it
     /// never drops).
@@ -254,6 +255,11 @@ impl StreamsSweep {
 /// One decision reply: `(action, tier, source)`.
 type Reply = (u16, u8, u8);
 
+/// How long the harness client waits for any one reply. The slowest
+/// legitimate wait is a held or restarting shard (hundreds of ms); a
+/// reply later than this counts as lost.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Request id of stream `stream`'s decision in `round`, repetition `rep`
 /// (only the chaos burst sends more than one per stream and round).
 fn req_id(round: u64, rep: u64, stream: u64) -> u64 {
@@ -262,7 +268,10 @@ fn req_id(round: u64, rep: u64, stream: u64) -> u64 {
 
 /// Drives one lockstep round: one [`synth_obs`] decision per stream, with
 /// at most `window` outstanding (backpressure instead of queue sheds).
-/// Returns each stream's reply in stream order.
+/// Returns each stream's reply in stream order, `None` where none came:
+/// a failed send or receive (the daemon dropped the connection, or no
+/// reply within [`REPLY_TIMEOUT`]) ends the round, because the
+/// connection's reply stream can no longer be trusted.
 fn lockstep_round(
     client: &mut ServeClient,
     profile: &BaselineProfile,
@@ -270,19 +279,20 @@ fn lockstep_round(
     streams: u64,
     round: u64,
     window: u64,
-) -> Result<Vec<Reply>, String> {
+) -> Result<Vec<Option<Reply>>, String> {
     let mut replies: Vec<Option<Reply>> = vec![None; streams as usize];
     let (mut sent, mut received) = (0u64, 0u64);
     while received < streams {
         while sent < streams && sent - received < window.max(1) {
-            client
-                .send(&Request::Decide {
-                    req_id: req_id(round, 0, sent),
-                    stream: sent,
-                    deadline_us: 0,
-                    obs: synth_obs(profile, seed, sent, round),
-                })
-                .map_err(|e| format!("round {round} send failed: {e}"))?;
+            let req = Request::Decide {
+                req_id: req_id(round, 0, sent),
+                stream: sent,
+                deadline_us: 0,
+                obs: synth_obs(profile, seed, sent, round),
+            };
+            if client.send(&req).is_err() {
+                return Ok(replies);
+            }
             sent += 1;
         }
         match client.recv() {
@@ -301,8 +311,17 @@ fn lockstep_round(
                 received += 1;
             }
             Ok(other) => return Err(format!("round {round}: unexpected response {other:?}")),
-            Err(e) => return Err(format!("round {round} receive failed: {e}")),
+            Err(_) => break,
         }
+    }
+    Ok(replies)
+}
+
+/// A round's replies, or an error naming how many never arrived.
+fn complete(round: u64, replies: Vec<Option<Reply>>) -> Result<Vec<Reply>, String> {
+    let lost = replies.iter().filter(|r| r.is_none()).count();
+    if lost > 0 {
+        return Err(format!("round {round}: {lost} replies lost"));
     }
     Ok(replies.into_iter().flatten().collect())
 }
@@ -356,7 +375,10 @@ pub fn run_streams_sweep(
             stats(&mut client)?; // settle: daemon + sidecar up
             let live0 = crate::live_bytes();
             let rss0 = crate::rss_bytes();
-            let replies = lockstep_round(&mut client, &profile, seed, n, 0, window)?;
+            let replies = complete(
+                0,
+                lockstep_round(&mut client, &profile, seed, n, 0, window)?,
+            )?;
             let snap = stats(&mut client)?; // sync barrier: exact gauges
             let live_delta = crate::live_bytes().saturating_sub(live0);
             let rss_delta = crate::rss_bytes().saturating_sub(rss0);
@@ -421,10 +443,15 @@ fn synth_obs(profile: &BaselineProfile, seed: u64, stream: u64, round: u64) -> V
         .collect()
 }
 
-/// Connects to the daemon at `socket`, retrying while it binds.
+/// Connects to the daemon at `socket`, retrying while it binds; every
+/// receive is bounded by [`REPLY_TIMEOUT`].
 fn connect(socket: &Path) -> Result<ServeClient, String> {
-    ServeClient::connect_retry(socket, Duration::from_secs(10))
-        .map_err(|e| format!("connect to {} failed: {e}", socket.display()))
+    let client = ServeClient::connect_retry(socket, Duration::from_secs(10))
+        .map_err(|e| format!("connect to {} failed: {e}", socket.display()))?;
+    client
+        .set_read_timeout(Some(REPLY_TIMEOUT))
+        .map_err(|e| format!("read timeout: {e}"))?;
+    Ok(client)
 }
 
 fn stats(client: &mut ServeClient) -> Result<MetricsSnapshot, String> {
@@ -495,17 +522,17 @@ pub fn run_bench(
                 other => return Err(format!("corrupt reload was not rejected: {other:?}")),
             }
         }
-        let replies = if let Some(plan) = plan.filter(|p| p.burst_round == round) {
-            let (got, deadline_id) = burst_round(&mut client, &profile, cfg, plan, shards, round)?;
-            requests += got.len() as u64;
+        let (sent, replies) = if let Some(plan) = plan.filter(|p| p.burst_round == round) {
+            let (sent, got, deadline_id) =
+                burst_round(&mut client, &profile, cfg, plan, shards, round)?;
             responses += got.len() as u64;
             shed_observed |= got.values().any(is_shed);
             deadline_fallback |=
                 matches!(got.get(&deadline_id), Some(r) if r.2 == Source::Deadline as u8);
-            (0..cfg.streams)
+            let replies = (0..cfg.streams)
                 .map(|s| got.get(&req_id(round, 0, s)).copied())
-                .collect::<Option<Vec<Reply>>>()
-                .ok_or(format!("burst round {round} lost a stream"))?
+                .collect();
+            (sent, replies)
         } else {
             let replies = lockstep_round(
                 &mut client,
@@ -515,11 +542,13 @@ pub fn run_bench(
                 round,
                 cfg.streams,
             )?;
-            requests += cfg.streams;
-            responses += replies.len() as u64;
-            shed_observed |= replies.iter().any(is_shed);
-            replies
+            responses += replies.iter().flatten().count() as u64;
+            shed_observed |= replies.iter().flatten().any(is_shed);
+            (cfg.streams, replies)
         };
+        requests += sent;
+        let lost = replies.iter().any(Option::is_none);
+        let replies: Vec<Reply> = replies.into_iter().flatten().collect();
         if round < first_chaos {
             checksum = fold_round(checksum, round, &replies);
         }
@@ -529,11 +558,18 @@ pub fn run_bench(
                     && r.2 == Source::Guarded as u8
             });
         }
+        if lost {
+            // A lost reply leaves the connection's reply stream unusable;
+            // the shortfall in `responses` already fails the gate.
+            break;
+        }
     }
 
-    let after = stats(&mut client)?;
-    let shard_recovered =
-        post_kill_guarded && (cfg.chaos.is_none() || after.restarts > before.restarts);
+    let after = client.stats().ok();
+    let shard_recovered = post_kill_guarded
+        && after
+            .as_ref()
+            .is_some_and(|a| cfg.chaos.is_none() || a.restarts > before.restarts);
     Ok(ChaosOutcome {
         seed: cfg.seed,
         streams: cfg.streams,
@@ -545,10 +581,10 @@ pub fn run_bench(
         requests,
         responses,
         prechaos_checksum: checksum,
-        daemon_alive: true,
+        daemon_alive: after.is_some(),
         shard_recovered,
         reload_rejected,
-        generation_unchanged: after.generation == before.generation,
+        generation_unchanged: after.is_some_and(|a| a.generation == before.generation),
         shed_observed: shed_observed || cfg.chaos.is_none(),
         deadline_fallback,
     })
@@ -557,7 +593,9 @@ pub fn run_bench(
 /// The chaos burst: holds the plan's shard, sends it one request whose
 /// 1 ms budget expires during the hold (so it must come back from the
 /// deadline fallback), then `burst_factor` decisions per stream. Returns
-/// every reply by request id, and the deadline request's id.
+/// the number of requests in the burst, every reply received by request
+/// id, and the deadline request's id; like [`lockstep_round`], a failed
+/// send or receive ends the round early.
 fn burst_round(
     client: &mut ServeClient,
     profile: &BaselineProfile,
@@ -565,7 +603,7 @@ fn burst_round(
     plan: &ChaosPlan,
     shards: usize,
     round: u64,
-) -> Result<(HashMap<u64, Reply>, u64), String> {
+) -> Result<(u64, HashMap<u64, Reply>, u64), String> {
     expect_ok(
         client,
         &Request::Hold {
@@ -581,18 +619,21 @@ fn burst_round(
     for rep in 0..plan.burst_factor {
         sends.extend((0..cfg.streams).map(|s| (req_id(round, rep, s), s, 0)));
     }
+    let mut sent = 0;
     for &(id, stream, deadline_us) in &sends {
-        client
-            .send(&Request::Decide {
-                req_id: id,
-                stream,
-                deadline_us,
-                obs: synth_obs(profile, cfg.seed, stream, round),
-            })
-            .map_err(|e| e.to_string())?;
+        let req = Request::Decide {
+            req_id: id,
+            stream,
+            deadline_us,
+            obs: synth_obs(profile, cfg.seed, stream, round),
+        };
+        if client.send(&req).is_err() {
+            break;
+        }
+        sent += 1;
     }
     let mut got = HashMap::with_capacity(sends.len());
-    while got.len() < sends.len() {
+    while got.len() < sent {
         match client.recv() {
             Ok(Response::Decision {
                 req_id,
@@ -603,10 +644,10 @@ fn burst_round(
                 got.insert(req_id, (action, tier, source));
             }
             Ok(other) => return Err(format!("unexpected mid-burst response {other:?}")),
-            Err(e) => return Err(format!("burst receive failed: {e}")),
+            Err(_) => break,
         }
     }
-    Ok((got, deadline_id))
+    Ok((sends.len() as u64, got, deadline_id))
 }
 
 /// Parameters of the supervisor-style crash-restart drill.
@@ -830,7 +871,7 @@ pub fn run_restart_drill(
         rounds.into_iter().try_fold(FNV_BASIS, |sum, round| {
             let replies =
                 lockstep_round(client, &profile, cfg.seed, cfg.streams, round, cfg.streams)?;
-            Ok::<u64, String>(fold_round(sum, round, &replies))
+            Ok::<u64, String>(fold_round(sum, round, &complete(round, replies)?))
         })
     };
 
@@ -968,6 +1009,63 @@ mod tests {
             !no_deadline.all_good(),
             "an expired request not answered by the fallback must fail"
         );
+    }
+
+    #[test]
+    fn chaos_gate_counts_lost_replies_and_a_dead_daemon() {
+        use crate::protocol::{read_frame, write_frame};
+        use std::os::unix::net::UnixListener;
+
+        let dir = std::env::temp_dir().join(format!("lahd_bench_lost_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut sp = lahd_guard::StreamingProfile::new(2);
+        for i in 0..16 {
+            sp.push(&[i as f32, 1.0]);
+        }
+        let mut file = std::fs::File::create(dir.join("baseline.profile")).unwrap();
+        lahd_guard::write_profile(&sp.profile(), &mut file).unwrap();
+        let socket = dir.join("fake.sock");
+        let listener = UnixListener::bind(&socket).unwrap();
+        // A fake daemon: answers the opening stats call, then answers three
+        // of round 0's four decisions and closes the connection — a reply
+        // lost the way a dropped connection loses it.
+        let fake = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+            let mut decided = 0;
+            while let Ok(Some(frame)) = read_frame(&mut reader) {
+                let resp = match Request::decode(&frame).unwrap() {
+                    Request::Stats => Response::StatsJson("{\"generation\":1,\"shards\":1}".into()),
+                    Request::Decide { req_id, .. } => {
+                        decided += 1;
+                        if decided == 4 {
+                            return;
+                        }
+                        Response::Decision {
+                            req_id,
+                            action: 0,
+                            tier: 0,
+                            source: Source::Guarded as u8,
+                        }
+                    }
+                    other => panic!("unexpected {other:?}"),
+                };
+                write_frame(&mut conn, &resp.encode()).unwrap();
+            }
+        });
+        let cfg = BenchConfig {
+            streams: 4,
+            rounds: 3,
+            seed: 1,
+            chaos: None,
+        };
+        let outcome = run_bench(&socket, &dir, &cfg).unwrap();
+        fake.join().unwrap();
+        assert_eq!((outcome.requests, outcome.responses), (4, 3));
+        assert!(!outcome.daemon_alive, "the final stats call failed");
+        assert!(!outcome.all_good());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -175,6 +175,13 @@ impl ServeClient {
         })
     }
 
+    /// Bounds every blocking receive: a reply that does not arrive within
+    /// `timeout` fails [`ServeClient::recv`] with `WouldBlock`/`TimedOut`
+    /// instead of hanging (`None` waits forever, the default).
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     /// Sends one request without waiting for anything.
     pub fn send(&mut self, req: &Request) -> std::io::Result<()> {
         write_frame(&mut self.writer, &req.encode())

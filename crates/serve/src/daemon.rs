@@ -1,10 +1,23 @@
 //! The serving daemon: Unix-socket listener, connection routing, admission
 //! control, and crash-safe hot reload.
 //!
-//! Topology: one acceptor thread, one reader + one writer thread per
-//! connection, and `shards` worker threads (see [`crate::shard`]) behind
-//! bounded queues. Streams are hashed to shards ([`shard_of`]), so one
-//! stream's requests are always ordered through one worker.
+//! Topology: one acceptor thread, one reader thread per connection, and
+//! `shards` worker threads (see [`crate::shard`]) behind bounded queues.
+//! Streams are hashed to shards ([`shard_of`]), so one stream's requests
+//! are always ordered through one worker. There is no writer thread:
+//! every connection's write half is a shared [`ReplyConn`], and whoever
+//! has the answer writes it — a shard writes its batch's replies itself,
+//! one coalesced write per connection per batch, and the reader writes the
+//! answers it produces inline (sheds, stats, pings, reloads, errors).
+//!
+//! Slow clients: a reply write may block for at most [`WRITE_TIMEOUT`].
+//! A client that stops reading its replies fills its socket buffer; the
+//! next write to it that cannot finish in time shuts the connection down
+//! in both directions (a partly written frame must never be followed by
+//! another one), marks it dead so later writes to it are skipped, and
+//! counts one `slow_client_drops`. The daemon therefore never buffers
+//! replies for a client without bound, and a stalled client delays the
+//! shards that answer it by at most about one write timeout, once.
 //!
 //! Admission control: enqueue uses `try_send` against the bounded shard
 //! queue, retrying `ADMISSION_RETRIES` times with a short backoff on
@@ -21,12 +34,13 @@
 //! swapped. (There is no portable signal handling in std, so reload is
 //! command-triggered over the socket rather than via SIGHUP.)
 
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,7 +49,7 @@ use lahd_fsm::VecPolicy;
 
 use crate::bundle::ServeBundle;
 use crate::metrics::{render_stats_json, ServeMetrics};
-use crate::protocol::{read_frame, write_frame, Request, Response, Source};
+use crate::protocol::{push_frame, read_frame, Request, Response, Source};
 use crate::shard::{run_shard, ShardMsg, TIER_BASELINE};
 use crate::telemetry::{run_aggregator, telemetry_channel, TelemetryHub};
 
@@ -44,6 +58,83 @@ const ADMISSION_RETRIES: u32 = 2;
 
 /// Sleep between admission retries.
 const RETRY_BACKOFF: Duration = Duration::from_micros(100);
+
+/// Longest a reply write to one connection may block before the client
+/// counts as stalled and is disconnected (see the module doc).
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The write half of one client connection, shared by its reader thread
+/// and by every shard that answers it.
+pub struct ReplyConn {
+    inner: Mutex<ConnWriter>,
+}
+
+struct ConnWriter {
+    stream: UnixStream,
+    /// Set once a write failed; the socket is shut down and every later
+    /// write is skipped.
+    dead: bool,
+}
+
+impl ReplyConn {
+    /// Wraps a connection's write half and arms its [`WRITE_TIMEOUT`].
+    pub fn new(stream: UnixStream) -> std::io::Result<Self> {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        Ok(Self {
+            inner: Mutex::new(ConnWriter {
+                stream,
+                dead: false,
+            }),
+        })
+    }
+
+    /// Writes `frames` — whole frames, as built by
+    /// [`crate::protocol::push_frame`] — with one `write` call, looping
+    /// only on a short write. A write that fails, or that has not finished
+    /// [`WRITE_TIMEOUT`] after it began, kills the connection (counted in
+    /// `slow_client_drops` when the client stalled rather than left).
+    pub fn write_frames(&self, frames: &[u8], metrics: &ServeMetrics) {
+        let mut w = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if w.dead {
+            return;
+        }
+        let started = Instant::now();
+        let mut rest = frames;
+        let failed = loop {
+            if rest.is_empty() {
+                break None;
+            }
+            match w.stream.write(rest) {
+                Ok(0) => break Some(ErrorKind::WriteZero),
+                Ok(n) => {
+                    rest = &rest[n..];
+                    // Each blocked call is bounded by the socket timeout;
+                    // this bounds a trickle of short writes too.
+                    if !rest.is_empty() && started.elapsed() >= WRITE_TIMEOUT {
+                        break Some(ErrorKind::TimedOut);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        let Some(kind) = failed else {
+            return;
+        };
+        if matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            ServeMetrics::bump(&metrics.slow_client_drops);
+        }
+        let _ = w.stream.shutdown(Shutdown::Both);
+        w.dead = true;
+    }
+
+    /// Writes one response as one frame.
+    pub fn send(&self, resp: &Response, metrics: &ServeMetrics) {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, &resp.encode());
+        self.write_frames(&frame, metrics);
+    }
+}
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -305,104 +396,80 @@ fn accept_loop(
 }
 
 fn handle_conn(stream: UnixStream, shared: Arc<SharedState>, senders: Vec<SyncSender<ShardMsg>>) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(conn) = stream.try_clone().and_then(ReplyConn::new) else {
         return;
     };
-    let (tx_resp, rx_resp) = mpsc::channel::<Response>();
-    let writer = std::thread::Builder::new()
-        .name("lahd-conn-w".to_string())
-        .spawn(move || {
-            let mut w = write_half;
-            for resp in rx_resp {
-                if write_frame(&mut w, &resp.encode()).is_err() {
-                    break;
-                }
-            }
-        });
-    let Ok(writer) = writer else { return };
-
+    let conn = Arc::new(conn);
+    let metrics = &shared.metrics;
     let mut reader = BufReader::new(stream);
     // Built lazily from the current bundle; depends only on the scenario,
     // so it survives reloads.
     let mut shed_policy: Option<Box<dyn VecPolicy>> = None;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => break,
-        };
+    while let Ok(Some(frame)) = read_frame(&mut reader) {
         let req = match Request::decode(&frame) {
             Ok(req) => req,
             Err(e) => {
-                let _ = tx_resp.send(Response::Err(e.to_string()));
+                conn.send(&Response::Err(e.to_string()), metrics);
                 continue;
             }
         };
-        match req {
+        let resp = match req {
             Request::Decide {
                 req_id,
                 stream: stream_id,
                 deadline_us,
                 obs,
-            } => route_decide(
-                &shared,
-                &senders,
-                &tx_resp,
-                &mut shed_policy,
-                req_id,
-                stream_id,
-                deadline_us,
-                obs,
-            ),
+            } => {
+                route_decide(
+                    &shared,
+                    &senders,
+                    &conn,
+                    &mut shed_policy,
+                    req_id,
+                    stream_id,
+                    deadline_us,
+                    obs,
+                );
+                continue;
+            }
             Request::Stats => {
                 // The sync is a read barrier: every delta a shard flushed
                 // before any reply this client has seen is merged first.
                 let snap = shared.telemetry.sync();
                 let gen = shared.generation.load(Ordering::Acquire);
-                let _ = tx_resp.send(Response::StatsJson(render_stats_json(
-                    gen,
-                    shared.cfg.shards,
-                    &shared.metrics,
-                    &snap,
-                )));
+                Response::StatsJson(render_stats_json(gen, shared.cfg.shards, metrics, &snap))
             }
             Request::Reload { dir } => {
                 match ServeBundle::load(&shared.pipeline_cfg, Path::new(&dir)) {
                     Ok(bundle) => {
                         *shared.bundle.lock().unwrap() = Arc::new(bundle);
                         let gen = shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
-                        ServeMetrics::bump(&shared.metrics.reloads_ok);
-                        let _ = tx_resp.send(Response::ReloadOk { generation: gen });
+                        ServeMetrics::bump(&metrics.reloads_ok);
+                        Response::ReloadOk { generation: gen }
                     }
                     Err(e) => {
-                        ServeMetrics::bump(&shared.metrics.reloads_rejected);
-                        let _ = tx_resp.send(Response::Err(format!("reload rejected: {e}")));
+                        ServeMetrics::bump(&metrics.reloads_rejected);
+                        Response::Err(format!("reload rejected: {e}"))
                     }
                 }
             }
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::Release);
-                let _ = tx_resp.send(Response::Ok);
+                Response::Ok
             }
-            Request::Ping => {
-                // Liveness probe: answered inline on the connection thread,
-                // so it works even while every shard queue is saturated.
-                let _ = tx_resp.send(Response::Ok);
-            }
-            Request::Crash { shard } => {
-                let _ = tx_resp.send(chaos_send(&shared, &senders, shard, ShardMsg::Crash));
-            }
-            Request::Hold { shard, ms } => {
-                let _ = tx_resp.send(chaos_send(
-                    &shared,
-                    &senders,
-                    shard,
-                    ShardMsg::Hold { ms: ms.min(10_000) },
-                ));
-            }
-        }
+            // Liveness probe: answered inline on the connection thread,
+            // so it works even while every shard queue is saturated.
+            Request::Ping => Response::Ok,
+            Request::Crash { shard } => chaos_send(&shared, &senders, shard, ShardMsg::Crash),
+            Request::Hold { shard, ms } => chaos_send(
+                &shared,
+                &senders,
+                shard,
+                ShardMsg::Hold { ms: ms.min(10_000) },
+            ),
+        };
+        conn.send(&resp, metrics);
     }
-    drop(tx_resp);
-    let _ = writer.join();
 }
 
 fn chaos_send(
@@ -427,7 +494,7 @@ fn chaos_send(
 fn route_decide(
     shared: &SharedState,
     senders: &[SyncSender<ShardMsg>],
-    tx_resp: &mpsc::Sender<Response>,
+    conn: &Arc<ReplyConn>,
     shed_policy: &mut Option<Box<dyn VecPolicy>>,
     req_id: u64,
     stream_id: u64,
@@ -443,7 +510,7 @@ fn route_decide(
         deadline,
         enqueued,
         obs,
-        reply: tx_resp.clone(),
+        reply: conn.clone(),
     };
     for attempt in 0..=ADMISSION_RETRIES {
         match senders[shard].try_send(msg) {
@@ -477,10 +544,13 @@ fn route_decide(
     });
     let action = policy.act_vec(&obs) as u16;
     ServeMetrics::bump(&shared.metrics.shed);
-    let _ = tx_resp.send(Response::Decision {
-        req_id,
-        action,
-        tier: TIER_BASELINE as u8,
-        source: Source::Shed as u8,
-    });
+    conn.send(
+        &Response::Decision {
+            req_id,
+            action,
+            tier: TIER_BASELINE as u8,
+            source: Source::Shed as u8,
+        },
+        &shared.metrics,
+    );
 }

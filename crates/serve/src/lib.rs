@@ -24,6 +24,10 @@
 //!   fallback (labelled, counted) instead of erroring.
 //! - **deadline budgets** — per-request deadlines; work that expires in
 //!   the queue is answered from the fallback tier at dequeue.
+//! - **slow clients** — shards write replies straight to the client
+//!   socket under a fixed write timeout; a client that stops reading is
+//!   disconnected and counted (`slow_client_drops`), never buffered for
+//!   without bound.
 //! - **crash-safe hot reload** — a reload request validates the candidate
 //!   bundle off-path (checked parsing + an inference probe) and only then
 //!   publishes it; shards swap at batch boundaries; a corrupt candidate is
@@ -67,10 +71,12 @@ pub use bench::{
 pub use bundle::ServeBundle;
 pub use client::{ClientError, RetryPolicy, ServeClient};
 pub use compact::{CompactStream, HibernationArena, REC_BYTES};
-pub use daemon::{serve, serve_dir, shard_of, ServeConfig, ServeHandle, SharedState};
+pub use daemon::{
+    serve, serve_dir, shard_of, ReplyConn, ServeConfig, ServeHandle, SharedState, WRITE_TIMEOUT,
+};
 pub use metrics::{render_stats_json, LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use protocol::{
-    read_frame, write_frame, ProtoError, Request, Response, Source, MAGIC, MAX_FRAME,
+    push_frame, read_frame, write_frame, ProtoError, Request, Response, Source, MAGIC, MAX_FRAME,
 };
 pub use shard::{ShardMsg, TIER_BASELINE, TIER_EXACT, TIER_FSM, TIER_QUANT};
 pub use stream_table::{StreamRef, StreamSet, StreamTable};

@@ -35,6 +35,9 @@ pub struct ServeMetrics {
     pub reloads_rejected: AtomicU64,
     /// Enqueue attempts that found a shard queue full (before retries).
     pub queue_full: AtomicU64,
+    /// Connections dropped because a reply write could not finish within
+    /// the daemon's write timeout (the client stopped reading).
+    pub slow_client_drops: AtomicU64,
     /// Checkpoint segments written (periodic + drain + post-swap).
     pub checkpoints: AtomicU64,
     /// Durable-state I/O failures (checkpoint/journal writes, state-dir
@@ -75,6 +78,7 @@ pub fn render_stats_json(
             "{{\"generation\":{},\"shards\":{},\"served\":{},\"shed\":{},",
             "\"deadline_misses\":{},\"panics\":{},\"restarts\":{},",
             "\"reloads_ok\":{},\"reloads_rejected\":{},\"queue_full\":{},",
+            "\"slow_client_drops\":{},",
             "\"tier_decisions\":[{}],",
             "\"streams\":{{\"compact\":{},\"resident\":{},\"hibernated\":{}}},",
             "\"lifecycle\":{{\"materializations\":{},\"releases\":{},\"audits\":{},",
@@ -95,6 +99,7 @@ pub fn render_stats_json(
         g(&metrics.reloads_ok),
         g(&metrics.reloads_rejected),
         g(&metrics.queue_full),
+        g(&metrics.slow_client_drops),
         tiers.join(","),
         t.compact,
         t.resident,
@@ -142,6 +147,8 @@ pub struct MetricsSnapshot {
     pub reloads_ok: u64,
     /// Reloads rejected.
     pub reloads_rejected: u64,
+    /// Connections dropped for not reading their replies.
+    pub slow_client_drops: u64,
     /// Gauge: compact streams resident in stream tables.
     pub streams_compact: u64,
     /// Gauge: streams holding a materialized full ladder.
@@ -204,6 +211,7 @@ impl MetricsSnapshot {
             restarts: field("restarts"),
             reloads_ok: field("reloads_ok"),
             reloads_rejected: field("reloads_rejected"),
+            slow_client_drops: field("slow_client_drops"),
             streams_compact: field("compact"),
             streams_resident: field("resident"),
             streams_hibernated: field("hibernated"),
@@ -337,6 +345,7 @@ mod tests {
         ServeMetrics::bump(&m.checkpoints);
         ServeMetrics::bump(&m.recovered_streams);
         ServeMetrics::bump(&m.journal_ops);
+        ServeMetrics::bump(&m.slow_client_drops);
         let mut t = ShardTelemetry::default();
         t.record_served(0, 500);
         t.record_served(2, 900);
@@ -359,6 +368,7 @@ mod tests {
         assert_eq!(parsed.panics, 1);
         assert_eq!(parsed.restarts, 1);
         assert_eq!(parsed.reloads_rejected, 0);
+        assert_eq!(parsed.slow_client_drops, 1);
         assert_eq!(parsed.streams_compact, 4);
         assert_eq!(parsed.streams_resident, 1);
         assert_eq!(parsed.streams_hibernated, 6);

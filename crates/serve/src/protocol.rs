@@ -146,11 +146,22 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Writes one frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+/// Appends one frame (length prefix + payload) to `out`, so a caller can
+/// coalesce several frames into one write.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Writes one frame with a single `write` call on a stream that takes it
+/// whole (a frame split across two writes costs a second syscall, and on
+/// a socket a second wake-up of the reader).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    push_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -441,6 +452,53 @@ mod tests {
         for req in requests() {
             let frame = read_frame(&mut r).unwrap().expect("frame present");
             assert_eq!(Request::decode(&frame).unwrap(), req);
+        }
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts `write` calls; accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        for req in requests() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &req.encode()).unwrap();
+            assert_eq!(w.writes, 1, "{req:?} took {} writes", w.writes);
+            let frame = read_frame(&mut w.bytes.as_slice()).unwrap().unwrap();
+            assert_eq!(Request::decode(&frame).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn pushed_frames_read_back_in_order() {
+        let mut buf = Vec::new();
+        for resp in responses() {
+            push_frame(&mut buf, &resp.encode());
+        }
+        let mut w = CountingWriter::default();
+        w.write_all(&buf).unwrap();
+        assert_eq!(w.writes, 1, "one coalesced buffer, one write");
+        let mut r = w.bytes.as_slice();
+        for resp in responses() {
+            let frame = read_frame(&mut r).unwrap().expect("frame present");
+            assert_eq!(Response::decode(&frame).unwrap(), resp);
         }
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
     }

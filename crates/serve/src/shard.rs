@@ -25,6 +25,9 @@
 //! batch boundaries, *before* sending the batch's replies — so any
 //! response a client observes is preceded by its delta in the channel
 //! (see [`crate::telemetry`] for why that makes stats reads exact).
+//! The shard writes the replies itself, straight to each client's socket
+//! through its shared [`ReplyConn`]: one coalesced write per connection
+//! per batch, bounded by the daemon's write timeout.
 //!
 //! Batches are capped *below* the blocked-GEMM row cutoff, where the
 //! packed layers run one GEMV per row (the FSM evaluator chunks its
@@ -51,7 +54,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,10 +70,10 @@ use lahd_tensor::Matrix;
 
 use crate::bundle::ServeBundle;
 use crate::compact::{CompactStream, HibernationArena, REC_BYTES};
-use crate::daemon::SharedState;
+use crate::daemon::{ReplyConn, SharedState};
 use crate::metrics::ServeMetrics;
 use crate::persist::{self, ShardPersist};
-use crate::protocol::{Response, Source};
+use crate::protocol::{push_frame, Response, Source};
 use crate::stream_table::{StreamRef, StreamSet, StreamTable};
 use crate::telemetry::ShardTelemetry;
 
@@ -122,8 +125,8 @@ pub enum ShardMsg {
         enqueued: Instant,
         /// The observation.
         obs: Vec<f32>,
-        /// Where to send the [`Response::Decision`].
-        reply: Sender<Response>,
+        /// The connection the [`Response::Decision`] is written to.
+        reply: Arc<ReplyConn>,
     },
     /// Chaos: panic the worker (exercises the restart path).
     Crash,
@@ -321,7 +324,7 @@ fn make_resident(
 
 /// A reply staged until the batch's telemetry delta is flushed.
 struct Reply {
-    to: Sender<Response>,
+    to: Arc<ReplyConn>,
     resp: Response,
     /// `(tier, enqueued)` for served decisions (feeds the latency
     /// histogram); `None` for errors/deadline/shed answers.
@@ -376,6 +379,8 @@ struct ShardState {
     telemetry: ShardTelemetry,
     /// Replies staged during the batch, sent after the telemetry flush.
     replies: Vec<Reply>,
+    /// One connection's coalesced reply frames (reused across batches).
+    out: Vec<u8>,
     /// Whether gauges changed since the last successful flush.
     gauges_dirty: bool,
     /// Durable-state writer (checkpoints + journal); `None` when the
@@ -428,6 +433,7 @@ impl ShardState {
             resident_count: 0,
             telemetry: ShardTelemetry::default(),
             replies: Vec::new(),
+            out: Vec::new(),
             gauges_dirty: true,
             persist,
         };
@@ -979,9 +985,24 @@ impl ShardState {
         // Same ordering argument for durability: admits/evictions in this
         // batch hit the journal before any of its replies are observable.
         self.flush_persist(shared);
-        for reply in self.replies.drain(..) {
-            let _ = reply.to.send(reply.resp);
+        // One write per connection: its frames, in staging order. Batches
+        // are short and span few connections, so a quadratic scan for
+        // "same connection" beats any map.
+        let (replies, out) = (&self.replies, &mut self.out);
+        for (i, reply) in replies.iter().enumerate() {
+            if replies[..i].iter().any(|r| Arc::ptr_eq(&r.to, &reply.to)) {
+                continue;
+            }
+            out.clear();
+            for r in replies[i..]
+                .iter()
+                .filter(|r| Arc::ptr_eq(&r.to, &reply.to))
+            {
+                push_frame(out, &r.resp.encode());
+            }
+            reply.to.write_frames(out, &shared.metrics);
         }
+        self.replies.clear();
     }
 
     /// Stamps current gauges and attempts a sidecar flush. Gauges are
@@ -1114,7 +1135,7 @@ struct DecideReq {
     deadline: Option<Instant>,
     enqueued: Instant,
     obs: Vec<f32>,
-    reply: Sender<Response>,
+    reply: Arc<ReplyConn>,
 }
 
 /// The shard thread body: serve until shutdown, restarting the serving
